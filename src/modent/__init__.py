@@ -27,9 +27,11 @@ from .errors import (
     DenominatorDivisibleByP,
     DivisibleByP,
     IndexOutOfRange,
+    InvalidDistribution,
     ModentError,
     ModulusMismatch,
     NotMeasurePreserving,
+    NotPrime,
     ParseError,
     RangeGuard,
     SumNotOne,
@@ -74,6 +76,7 @@ from .polynomials import (
     entropy_poly,
     homogenize,
     homogenize_check,
+    identity_reports,
     interpolate,
     pounds1,
 )

@@ -12,7 +12,7 @@ rather than treated as failures.
 from dataclasses import dataclass
 from itertools import product
 
-from .distributions import entropy_of_representatives
+from .distributions import compositions, entropy_of_representatives
 from .errors import RangeGuard
 from .modular import PrimeModulus
 from .verification import VerificationReport
@@ -86,7 +86,8 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
     seen = set()
     rows = []
     for n in range(1, max_arity + 1):
-        for ks in _compositions_at_least_one(max_arity, n):
+        shapes = (ks for total in range(n, max_arity + 1) for ks in compositions(total, n, lo=1))
+        for ks in sorted(shapes):
             gamma_pools = [tuple(_distributions(q, k)) for k in ks]
             for pi in _distributions(q, n):
                 for gammas in product(*gamma_pools):
@@ -116,16 +117,6 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
                         seen.add(normalized)
                         rows.append(dict(normalized))
     return ConstraintSystem(p, max_arity, tuple(unknowns), tuple(rows))
-
-
-def _compositions_at_least_one(total_cap: int, parts: int):
-    """All tuples of `parts` positive integers with sum <= total_cap."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(1, total_cap - parts + 2):
-        for rest in _compositions_at_least_one(total_cap - first, parts - 1):
-            yield (first,) + rest
 
 
 def _rref(rows, q: int) -> dict:

@@ -8,8 +8,32 @@ compose operadically, and H_p satisfies the chain rule
     H(pi o (g^1, ..., g^n)) = H(pi) + sum_i pi_i * H(g^i).
 """
 
-from .errors import ArityMismatch, DivisibleByP, IndexOutOfRange, ModulusMismatch
+from .errors import (
+    ArityMismatch,
+    DivisibleByP,
+    IndexOutOfRange,
+    InvalidDistribution,
+    ModulusMismatch,
+    SumNotOne,
+)
 from .modular import PrimeModulus, Residue
+
+
+def compositions(total: int, parts: int, lo: int = 0, hi=None):
+    """Every tuple of `parts` ints in [lo, hi] summing to `total`, in lexicographic order.
+
+    `hi=None` leaves the parts unbounded above.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total - (parts - 1) * lo
+    if hi is not None:
+        top = min(top, hi)
+    for first in range(lo, top + 1):
+        for rest in compositions(total - first, parts - 1, lo, hi):
+            yield (first,) + rest
 
 
 def _as_residues(values, p: PrimeModulus):
@@ -32,10 +56,10 @@ class ModDist:
     def __init__(self, p: PrimeModulus, probs):
         probs = _as_residues(probs, p)
         if len(probs) == 0:
-            raise ValueError("a distribution has at least one entry (Pi_0 is empty)")
+            raise InvalidDistribution("a distribution has at least one entry (Pi_0 is empty)")
         total = sum(r.value for r in probs) % p.p
         if total != 1:
-            raise ValueError(f"entries sum to {total} mod {p.p}, expected 1")
+            raise SumNotOne(total, f"entries sum to {total} mod {p.p}, expected 1")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "probs", probs)
 
@@ -110,8 +134,9 @@ def entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     Any choice of representatives gives the same result; this entry point
     exists so that independence of the choice can be exercised directly.
     """
-    if sum(reps) % p.p != 1:
-        raise ValueError("representatives must sum to 1 mod p")
+    total = sum(reps) % p.p
+    if total != 1:
+        raise SumNotOne(total, f"representatives sum to {total} mod {p.p}, expected 1")
     p2 = p.p_squared
     power_sum = sum(pow(a % p2, p.p, p2) for a in reps) % p2
     diff = (1 - power_sum) % p2  # divisible by p since sum a_i^p = sum a_i = 1 mod p

@@ -10,7 +10,15 @@ class DivisibleByP(ModentError):
 
 
 class RangeGuard(ModentError):
-    """An exhaustive verifier was asked to run beyond its size guard."""
+    """A computation was asked to run beyond its size guard."""
+
+
+class NotPrime(ModentError, ValueError):
+    """A modulus that must be prime is not."""
+
+
+class InvalidDistribution(ModentError, ValueError):
+    """Entries cannot form a distribution: there are none, or one is negative."""
 
 
 class ArityMismatch(ModentError):
@@ -64,7 +72,7 @@ class ParseError(ModentError, ValueError):
 
 
 class SumNotOne(ModentError, ValueError):
-    """Parsed values do not sum to 1; the computed sum is reported."""
+    """Distribution entries do not sum to 1; the computed sum is reported."""
 
     def __init__(self, computed_sum, message=None):
         self.computed_sum = computed_sum

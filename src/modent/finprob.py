@@ -8,7 +8,13 @@ convex combination of maps.
 """
 
 from .distributions import ModDist, ModMeasure, entropy, entropy_measure
-from .errors import CompositionMismatch, ModulusMismatch, NotMeasurePreserving, UnknownLabel
+from .errors import (
+    CompositionMismatch,
+    ModulusMismatch,
+    NotMeasurePreserving,
+    ParseError,
+    UnknownLabel,
+)
 from .modular import PrimeModulus, Residue
 
 TERMINAL_LABEL = "*"
@@ -224,9 +230,20 @@ def space_to_dict(s: FinProbSpace) -> dict:
     return {"p": s.p.p, "labels": list(s.labels), "probs": list(s.dist.values())}
 
 
+def _field(d, key: str, kind: type):
+    """d[key], after checking that d is a JSON object whose `key` holds a `kind`."""
+    if not isinstance(d, dict) or not isinstance(d.get(key), kind):
+        raise ParseError(f"expected a JSON object with {key!r} of type {kind.__name__}")
+    return d[key]
+
+
 def space_from_dict(d: dict) -> FinProbSpace:
-    p = PrimeModulus(d["p"])
-    return FinProbSpace(tuple(d["labels"]), ModDist(p, d["probs"]))
+    p, labels, probs = _field(d, "p", int), _field(d, "labels", list), _field(d, "probs", list)
+    if not all(isinstance(y, str) for y in labels):
+        raise ParseError("labels must be strings")
+    if not all(isinstance(v, int) for v in probs):
+        raise ParseError("probs must be integers")
+    return FinProbSpace(tuple(labels), ModDist(PrimeModulus(p), probs))
 
 
 def map_to_dict(f: MPMap) -> dict:
@@ -238,4 +255,6 @@ def map_to_dict(f: MPMap) -> dict:
 
 
 def map_from_dict(d: dict) -> MPMap:
-    return make_map(space_from_dict(d["domain"]), space_from_dict(d["codomain"]), d["mapping"])
+    domain, codomain = _field(d, "domain", dict), _field(d, "codomain", dict)
+    mapping = _field(d, "mapping", dict)
+    return make_map(space_from_dict(domain), space_from_dict(codomain), mapping)

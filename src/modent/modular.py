@@ -12,7 +12,7 @@ exponentiation, so no big-integer towers arise for large a.
 
 from dataclasses import dataclass
 
-from .errors import DivisibleByP, ModulusMismatch, RangeGuard
+from .errors import DivisibleByP, ModulusMismatch, NotPrime, RangeGuard
 from .verification import VerificationReport
 
 # Deterministic witness set: correct for every n < 3.3 * 10^24.
@@ -23,7 +23,7 @@ VERIFIER_PRIME_GUARD = 97
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid below ~3.3e24)."""
+    """Deterministic Miller-Rabin primality test; RangeGuard at or above ~3.3e24."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -32,7 +32,7 @@ def is_prime(n: int) -> bool:
         if n % b == 0:
             return False
     if n >= _MR_LIMIT:
-        raise ValueError(f"{n} exceeds the deterministic primality bound")
+        raise RangeGuard(f"{n} exceeds the deterministic primality bound of 3.3e24 ({_MR_LIMIT})")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -58,7 +58,7 @@ class PrimeModulus:
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise NotPrime(f"{self.p} is not prime")
 
     @property
     def p_squared(self) -> int:

@@ -11,9 +11,10 @@ polynomial identities: all substitutions are expanded symbolically, never
 checked pointwise.
 """
 
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial
 
+from .distributions import compositions
 from .errors import ArityMismatch, DegreeTooHigh, ModulusMismatch, RangeGuard
 from .modular import PrimeModulus, Residue
 from .verification import VerificationReport
@@ -249,17 +250,6 @@ class MultiPoly:
         return f"MultiPoly({self.to_text()})"
 
 
-def _compositions(total: int, parts: int, bound: int):
-    """All tuples of `parts` integers in [0, bound] summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, bound) + 1):
-        for rest in _compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
-
-
 def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     """The entropy polynomial h in n variables: homogeneous of degree p.
 
@@ -269,7 +259,7 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     terms = {}
-    for exps in _compositions(p.p, n, p.p - 1):
+    for exps in compositions(p.p, n, 0, p.p - 1):
         denom = 1
         for e in exps:
             denom = denom * factorial(e) % p.p
@@ -355,22 +345,23 @@ def _report(name: str, lhs: MultiPoly, rhs: MultiPoly, data=None) -> Verificatio
     return VerificationReport(name, 1, failures, data or {})
 
 
-def check_grouping(n: int, ks, p: PrimeModulus) -> VerificationReport:
-    """Symbolic grouping law: h on all variables splits into block sums plus blocks."""
+def _blocks(n: int, ks, p: PrimeModulus, start: int):
+    """Validate a block shape; return it and each block's variable indices from `start`."""
     ks = tuple(ks)
     if len(ks) != n or any(k < 0 for k in ks):
         raise ValueError("need one nonnegative block size per outer slot")
     _check_identity_guard(p)
-    m = sum(ks)
-    if m > GROUPING_SIZE_GUARD:
-        raise RangeGuard(f"total of {m} variables exceeds the guard of {GROUPING_SIZE_GUARD}")
+    if sum(ks) > GROUPING_SIZE_GUARD:
+        raise RangeGuard(f"total of {sum(ks)} variables exceeds the guard of {GROUPING_SIZE_GUARD}")
+    ends = tuple(accumulate(ks, initial=start))
+    return ks, tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
 
+
+def check_grouping(n: int, ks, p: PrimeModulus) -> VerificationReport:
+    """Symbolic grouping law: h on all variables splits into block sums plus blocks."""
+    ks, block_vars = _blocks(n, ks, p, 0)
+    m = sum(ks)
     whole = entropy_poly(m, p)
-    block_vars = []
-    start = 0
-    for k in ks:
-        block_vars.append(tuple(range(start, start + k)))
-        start += k
     zero = MultiPoly.zero(p, m)
     block_sums = [
         sum((MultiPoly.variable(p, m, j) for j in vs), zero) for vs in block_vars
@@ -386,21 +377,10 @@ def check_grouping(n: int, ks, p: PrimeModulus) -> VerificationReport:
 
 def check_poly_chain_rule(n: int, ks, p: PrimeModulus) -> VerificationReport:
     """Symbolic chain rule: h(x_i y_ij) = h(x_i * block sums) + sum x_i^p h(block)."""
-    ks = tuple(ks)
-    if len(ks) != n or any(k < 0 for k in ks):
-        raise ValueError("need one nonnegative block size per outer slot")
-    _check_identity_guard(p)
+    ks, y_index = _blocks(n, ks, p, n)
     m = sum(ks)
-    if m > GROUPING_SIZE_GUARD:
-        raise RangeGuard(f"total of {m} variables exceeds the guard of {GROUPING_SIZE_GUARD}")
-
     nv = n + m  # x_1..x_n then y_11..y_nk_n
     xs = [MultiPoly.variable(p, nv, i) for i in range(n)]
-    y_index = []
-    start = n
-    for k in ks:
-        y_index.append(tuple(range(start, start + k)))
-        start += k
     ys = [[MultiPoly.variable(p, nv, j) for j in vs] for vs in y_index]
 
     products = [xs[i] * y for i in range(n) for y in ys[i]]
@@ -478,3 +458,29 @@ def homogenize_check(p: PrimeModulus) -> VerificationReport:
     x = MultiPoly.variable(p, 2, 0)
     y = MultiPoly.variable(p, 2, 1)
     return _report("homogenization", entropy_poly(2, p), g.compose([x, x + y]), {"p": p.p})
+
+
+def identity_reports(p: PrimeModulus, grouping_cap: int) -> dict:
+    """Every identity check at p, by name, starting with "grouping".
+
+    The grouping report aggregates check_grouping over all 2^cap - 1 block
+    shapes with positive blocks and total size <= grouping_cap.
+    """
+    grouping = [
+        check_grouping(n, ks, p)
+        for total in range(1, grouping_cap + 1)
+        for n in range(1, total + 1)
+        for ks in compositions(total, n, lo=1)
+    ]
+    failures = tuple(f"ks={r.data['ks']}: {f}" for r in grouping for f in r.failures)
+    return {
+        "grouping": VerificationReport(
+            "grouping", len(grouping), failures, {"p": p.p, "grouping_cap": grouping_cap}
+        ),
+        "cocycle": check_cocycle(p),
+        "pounds1_formula": check_pounds1_formula(p),
+        "pounds1_symmetry": check_symmetry_pounds1(p),
+        "homogenization": homogenize_check(p),
+        "fundamental_pounds1": check_fundamental(pounds1(p), p),
+        "fundamental_xp": check_fundamental(MultiPoly(p, 1, {(p.p,): 1}), p),
+    }

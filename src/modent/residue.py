@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .distributions import ModDist, entropy
-from .errors import DenominatorDivisibleByP
+from .errors import DenominatorDivisibleByP, InvalidDistribution, SumNotOne
 from .modular import PrimeModulus, Residue
 from .verification import VerificationReport
 
@@ -25,12 +25,12 @@ class RationalDist:
     def __init__(self, probs):
         probs = tuple(Fraction(q) for q in probs)
         if not probs:
-            raise ValueError("a distribution has at least one entry")
+            raise InvalidDistribution("a distribution has at least one entry")
         if any(q < 0 for q in probs):
-            raise ValueError("entries must be nonnegative")
+            raise InvalidDistribution("entries must be nonnegative")
         total = sum(probs)
         if total != 1:
-            raise ValueError(f"entries sum to {total}, expected 1")
+            raise SumNotOne(total, f"entries sum to {total}, expected 1")
         object.__setattr__(self, "probs", probs)
 
     def __setattr__(self, name, val):

@@ -30,17 +30,7 @@ from modent.modular import (
     verify_fq_laws,
     verify_hom_uniqueness,
 )
-from modent.polynomials import (
-    MultiPoly,
-    check_cocycle,
-    check_fundamental,
-    check_grouping,
-    check_pounds1_formula,
-    check_symmetry_pounds1,
-    entropy_poly,
-    homogenize_check,
-    pounds1,
-)
+from modent.polynomials import entropy_poly, identity_reports
 from modent.residue import (
     RationalDist,
     check_residue_well_defined,
@@ -119,35 +109,13 @@ def test_c05_polynomial_agreement_exhaustive():
     _pass(5, f"entropy polynomial matches entropy on all {checks} points, p in 2,3,5, n <= 3")
 
 
-def _grouping_shapes(cap):
-    def splits(total, parts):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(1, total - parts + 2):
-            for rest in splits(total - first, parts - 1):
-                yield (first,) + rest
-
-    for total in range(1, cap + 1):
-        for n in range(1, total + 1):
-            yield from ((n, ks) for ks in splits(total, n))
-
-
 def test_c06_symbolic_identities_all_primes():
-    shapes = list(_grouping_shapes(5))
     for pp in (2, 3, 5, 7, 11, 13):
-        p = PrimeModulus(pp)
-        assert check_cocycle(p).passed, pp
-        for n, ks in shapes:
-            assert check_grouping(n, ks, p).passed, (pp, n, ks)
-        assert check_pounds1_formula(p).passed, pp
-        assert check_symmetry_pounds1(p).passed, pp
-        assert homogenize_check(p).passed, pp
-        assert check_fundamental(pounds1(p), p).passed, pp
-        x_to_p = MultiPoly(p, 1, {(pp,): 1})
-        assert check_fundamental(x_to_p, p).passed, pp
-    _pass(6, f"all identities reduce to 0 for p in 2,3,5,7,11,13 ({len(shapes)} grouping shapes)")
+        reports = identity_reports(PrimeModulus(pp), 5)
+        assert reports["grouping"].checks == 31
+        for name, report in reports.items():
+            assert report.passed, (pp, name, report.failures)
+    _pass(6, "all identities reduce to 0 for p in 2,3,5,7,11,13 (31 grouping shapes)")
 
 
 def _equal_entropy_pair(rng, kind):

@@ -54,6 +54,22 @@ def test_identities_pass(capsys):
         assert out[key] == "pass"
 
 
+def test_identities_json_keys_in_order(capsys):
+    code, blob = run_json(capsys, "identities", "--p", "3")
+    assert code == 0
+    assert list(blob) == [
+        "p",
+        "grouping",
+        "cocycle",
+        "pounds1_formula",
+        "pounds1_symmetry",
+        "homogenization",
+        "fundamental_pounds1",
+        "fundamental_xp",
+        "result",
+    ]
+
+
 def test_identities_failure_exit_code(monkeypatch, capsys):
     from modent.verification import VerificationReport
 
@@ -137,6 +153,8 @@ def test_sum_not_one_diagnostics():
         cli.parse_rational_dist("1/x")
     with pytest.raises(ParseError):
         cli.parse_mod_dist("4:1,1,1,1")  # 4 is not prime
+    with pytest.raises(ParseError):
+        cli.parse_mod_dist(f"{2**89 - 1}:1")  # beyond the primality bound
 
 
 def test_usage_errors_exit_2(capsys):
@@ -186,6 +204,29 @@ def test_loss_command_rejects_bad_map(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert cli.run(["loss", str(path)]) == 2
+
+
+GOOD_SPACE = {"p": 3, "labels": ["x"], "probs": [1]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"domain": {"p": 3, "labels": ["a"]}, "codomain": GOOD_SPACE, "mapping": {"a": "x"}},
+        {
+            "domain": {"p": 3, "labels": 5, "probs": [1]},
+            "codomain": GOOD_SPACE,
+            "mapping": {"a": "x"},
+        },
+        [GOOD_SPACE, GOOD_SPACE],
+    ],
+    ids=["no-probs", "labels-not-a-list", "top-level-list"],
+)
+def test_loss_command_rejects_malformed_json(tmp_path, capsys, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    assert cli.run(["loss", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_interpolate_command(capsys):

@@ -1,6 +1,8 @@
 """Tests for distributions mod p, composition, and the entropy function."""
 
 import random
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -8,6 +10,7 @@ from modent.distributions import (
     ModDist,
     ModMeasure,
     compose,
+    compositions,
     entropy,
     entropy_measure,
     entropy_of_representatives,
@@ -15,7 +18,14 @@ from modent.distributions import (
     tensor,
     uniform,
 )
-from modent.errors import ArityMismatch, DivisibleByP, IndexOutOfRange, ModulusMismatch
+from modent.errors import (
+    ArityMismatch,
+    DivisibleByP,
+    IndexOutOfRange,
+    InvalidDistribution,
+    ModulusMismatch,
+    SumNotOne,
+)
 from modent.modular import PrimeModulus, Residue, fermat_quotient
 from oracles import entropy_big, measure_entropy_big, random_mod_dist_values
 
@@ -29,12 +39,32 @@ SEED = 4021
 def test_mod_dist_validation():
     assert ModDist(P3, (1, 1, 1, 1)).values() == (1, 1, 1, 1)
     assert ModDist(P3, (-1, -1, 0)).values() == (2, 2, 0)  # sum -2 = 1 mod 3
-    with pytest.raises(ValueError):
+    with pytest.raises(SumNotOne) as err:
         ModDist(P3, (1, 1))
-    with pytest.raises(ValueError):
+    assert err.value.computed_sum == 2
+    with pytest.raises(InvalidDistribution):
         ModDist(P3, ())
     with pytest.raises(ModulusMismatch):
         ModDist(P3, (Residue(1, P5),))
+    with pytest.raises(SumNotOne):
+        entropy_of_representatives((1, 1), P3)
+
+
+def test_compositions_match_brute_force():
+    for total in range(9):
+        for parts in range(6):
+            for lo in (0, 1):
+                for hi in (None, 2, 3):
+                    top = total if hi is None else hi
+                    expected = [
+                        c
+                        for c in product(range(lo, top + 1), repeat=parts)
+                        if sum(c) == total
+                    ]
+                    got = list(compositions(total, parts, lo, hi))
+                    assert got == expected, (total, parts, lo, hi)
+            if total and parts:
+                assert len(list(compositions(total, parts, lo=1))) == comb(total - 1, parts - 1)
 
 
 def test_entropy_examples():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modent.errors import DivisibleByP, ModulusMismatch, RangeGuard
+from modent.errors import DivisibleByP, ModentError, ModulusMismatch, NotPrime, RangeGuard
 from modent.modular import (
     LiftedResidue,
     PrimeModulus,
@@ -34,6 +34,14 @@ def test_prime_modulus_rejects_nonprimes():
     for n in (-7, 0, 1, 4, 91, 561, 1105):  # includes Carmichael numbers
         with pytest.raises(ValueError):
             PrimeModulus(n)
+
+
+def test_prime_modulus_errors_are_typed():
+    with pytest.raises(NotPrime) as err:
+        PrimeModulus(4)
+    assert isinstance(err.value, ModentError) and isinstance(err.value, ValueError)
+    with pytest.raises(RangeGuard, match="3.3e24"):
+        PrimeModulus(2**89 - 1)
 
 
 def test_is_prime_small_table():

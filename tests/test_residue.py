@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from modent.distributions import entropy, tensor
-from modent.errors import DenominatorDivisibleByP
+from modent.errors import DenominatorDivisibleByP, InvalidDistribution, SumNotOne
 from modent.modular import PrimeModulus
 from modent.residue import (
     RationalDist,
@@ -40,11 +40,12 @@ def random_rational(rng, **kw):
 
 
 def test_rational_dist_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SumNotOne) as err:
         RationalDist([Fraction(1, 2), Fraction(1, 3)])
-    with pytest.raises(ValueError):
+    assert err.value.computed_sum == Fraction(5, 6)
+    with pytest.raises(InvalidDistribution):
         RationalDist([Fraction(3, 2), Fraction(-1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidDistribution):
         RationalDist([])
     d = RationalDist(["1/2", "1/4", "1/4"])  # Fraction-parsable inputs are accepted
     assert d.probs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
