@@ -28,6 +28,7 @@ from .errors import (
     DivisibleByP,
     IndexOutOfRange,
     InvalidDistribution,
+    InvalidPolynomial,
     ModentError,
     ModulusMismatch,
     NotMeasurePreserving,

@@ -21,6 +21,10 @@ class InvalidDistribution(ModentError, ValueError):
     """Entries cannot form a distribution: there are none, or one is negative."""
 
 
+class InvalidPolynomial(ModentError, ValueError):
+    """A polynomial term has a non-int or negative exponent, or a non-int coefficient."""
+
+
 class ArityMismatch(ModentError):
     """Tuple lengths do not line up (composition, evaluation points, ...)."""
 

@@ -13,44 +13,93 @@ checked pointwise.
 
 from itertools import accumulate, product
 from math import comb, factorial
+from operator import add
 
 from .distributions import compositions
-from .errors import ArityMismatch, DegreeTooHigh, ModulusMismatch, RangeGuard
+from .errors import (
+    ArityMismatch,
+    DegreeTooHigh,
+    IndexOutOfRange,
+    InvalidPolynomial,
+    ModulusMismatch,
+    RangeGuard,
+)
 from .modular import PrimeModulus, Residue
 from .verification import VerificationReport
 
-IDENTITY_PRIME_GUARD = 13
+IDENTITY_PRIME_GUARD = 31
 GROUPING_SIZE_GUARD = 6
 INTERPOLATE_POINT_GUARD = 10**6
 
 _SHORT_NAMES = ("x", "y", "z")
 
 
+def _coefficient(c, p: PrimeModulus) -> int:
+    """An int, or a residue mod p, as its representative in [0, p)."""
+    if isinstance(c, Residue):
+        if c.modulus != p:
+            raise ModulusMismatch(f"residue mod {c.modulus.p} used with a polynomial mod {p.p}")
+        return c.value
+    if not isinstance(c, int):
+        raise InvalidPolynomial(f"coefficient {c!r} is neither an int nor a residue mod {p.p}")
+    return c % p.p
+
+
+def _reduced(acc: dict, q: int) -> dict:
+    """Reduce accumulated coefficients mod q, dropping those that vanish."""
+    return {e: r for e, v in acc.items() if (r := v % q)}
+
+
+def _product(f: dict, g: dict, q: int) -> dict:
+    """The product of two canonical term dicts, canonical."""
+    acc = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return _reduced(acc, q)
+
+
 class MultiPoly:
-    """A polynomial over Z/pZ, stored as exponent-vector -> nonzero coefficient."""
+    """A polynomial over Z/pZ, stored as exponent-vector -> nonzero coefficient.
+
+    `MultiPoly(p, nvars, terms)` validates and canonicalizes outside input:
+    exponents must be nonnegative ints, coefficients ints or residues mod p.
+    Every operation below builds its result in canonical form (tuple keys of
+    length nvars, coefficients in [1, p)) and wraps it with `_canonical`,
+    which checks nothing.
+    """
 
     __slots__ = ("p", "nvars", "terms")
 
     def __init__(self, p: PrimeModulus, nvars: int, terms=()):
+        q = p.p
         canonical = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for exps, c in items:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ArityMismatch(f"exponent vector {exps} in a {nvars}-variable polynomial")
-            if any(e < 0 for e in exps):
-                raise ValueError("exponents must be nonnegative")
-            c = int(c) % p.p
+            if not all(isinstance(e, int) and e >= 0 for e in exps):
+                raise InvalidPolynomial(f"exponents must be nonnegative ints, got {exps}")
+            c = (canonical.get(exps, 0) + _coefficient(c, p)) % q
             if c:
-                c0 = canonical.get(exps, 0)
-                c = (c0 + c) % p.p
-                if c:
-                    canonical[exps] = c
-                elif exps in canonical:
-                    del canonical[exps]
+                canonical[exps] = c
+            else:
+                canonical.pop(exps, None)
+        self._set(p, nvars, canonical)
+
+    def _set(self, p, nvars, terms):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", canonical)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _canonical(cls, p: PrimeModulus, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap a dict that is already canonical, without checking it."""
+        poly = object.__new__(cls)
+        poly._set(p, nvars, terms)
+        return poly
 
     def __setattr__(self, name, val):
         raise AttributeError("MultiPoly is immutable")
@@ -61,10 +110,12 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, p: PrimeModulus, nvars: int, c) -> "MultiPoly":
-        return cls(p, nvars, {(0,) * nvars: int(c)})
+        return cls(p, nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, p: PrimeModulus, nvars: int, index: int) -> "MultiPoly":
+        if not 0 <= index < nvars:
+            raise IndexOutOfRange(f"variable {index} of a {nvars}-variable polynomial")
         exps = [0] * nvars
         exps[index] = 1
         return cls(p, nvars, {tuple(exps): 1})
@@ -81,48 +132,49 @@ class MultiPoly:
         if self.nvars != other.nvars:
             raise ArityMismatch(f"{self.nvars}-variable vs {other.nvars}-variable polynomial")
 
-    def __add__(self, other):
+    def _coerce(self, other):
+        """`other` as a polynomial compatible with this one, or NotImplemented."""
+        if isinstance(other, MultiPoly):
+            self._check_compatible(other)
+            return other
         if isinstance(other, (int, Residue)):
-            other = MultiPoly.constant(self.p, self.nvars, int(other))
-        self._check_compatible(other)
+            return MultiPoly.constant(self.p, self.nvars, other)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        q = self.p.p
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            v = (terms.get(exps, 0) + c) % self.p.p
+            v = (terms.get(exps, 0) + c) % q
             if v:
                 terms[exps] = v
-            elif exps in terms:
+            else:
                 del terms[exps]
-        return MultiPoly(self.p, self.nvars, terms)
+        return MultiPoly._canonical(self.p, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.p, self.nvars, {e: -c for e, c in self.terms.items()})
+        q = self.p.p
+        return MultiPoly._canonical(self.p, self.nvars, {e: q - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Residue)):
-            other = MultiPoly.constant(self.p, self.nvars, int(other))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Residue)):
-            c = int(other) % self.p.p
-            return MultiPoly(self.p, self.nvars, {e: k * c for e, k in self.terms.items()})
-        self._check_compatible(other)
-        p = self.p.p
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (acc.get(e, 0) + c1 * c2) % p
-                if v:
-                    acc[e] = v
-                elif e in acc:
-                    del acc[e]
-        return MultiPoly(self.p, self.nvars, acc)
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return MultiPoly._canonical(self.p, self.nvars, _product(self.terms, other.terms, self.p.p))
 
     __rmul__ = __mul__
 
@@ -152,7 +204,7 @@ class MultiPoly:
 
     def evaluate(self, point) -> Residue:
         """Exact evaluation at a tuple of residues (or ints)."""
-        point = tuple(int(v) % self.p.p for v in point)
+        point = tuple(_coefficient(v, self.p) for v in point)
         if len(point) != self.nvars:
             raise ArityMismatch(f"{len(point)}-point for a {self.nvars}-variable polynomial")
         p = self.p.p
@@ -177,33 +229,36 @@ class MultiPoly:
         if len(args) != self.nvars:
             raise ArityMismatch(f"{len(args)} substitutions for {self.nvars} variables")
         if not args:
-            p_target = self.p
-            return MultiPoly(p_target, 0, dict(self.terms))
+            return MultiPoly._canonical(self.p, 0, dict(self.terms))
         nvars = args[0].nvars
         for a in args:
             if a.p != self.p:
                 raise ModulusMismatch("substitution over a different prime")
             if a.nvars != nvars:
                 raise ArityMismatch("substitution arguments must share a variable set")
-        # power tables: powers[i][e] = args[i]**e, built incrementally
+        # power tables of term dicts: powers[i][e] = args[i]**e, built incrementally
+        q = self.p.p
         max_exp = [0] * self.nvars
         for exps in self.terms:
             for i, e in enumerate(exps):
                 max_exp[i] = max(max_exp[i], e)
+        one = {(0,) * nvars: 1}
         powers = []
         for a, m in zip(args, max_exp):
-            row = [MultiPoly.constant(self.p, nvars, 1)]
+            row = [one]
             for _ in range(m):
-                row.append(row[-1] * a)
+                row.append(_product(row[-1], a.terms, q))
             powers.append(row)
-        result = MultiPoly.zero(self.p, nvars)
+        # every term's expansion is added into one dict, scaled by its coefficient
+        acc = {}
         for exps, c in self.terms.items():
-            term = MultiPoly.constant(self.p, nvars, c)
-            for i, e in enumerate(exps):
+            term = one
+            for row, e in zip(powers, exps):
                 if e:
-                    term = term * powers[i][e]
-            result = result + term
-        return result
+                    term = row[e] if term is one else _product(term, row[e], q)
+            for e, k in term.items():
+                acc[e] = acc.get(e, 0) + c * k
+        return MultiPoly._canonical(self.p, nvars, _reduced(acc, q))
 
     def embed(self, nvars: int, positions) -> "MultiPoly":
         """View this polynomial inside a larger variable set.
@@ -213,13 +268,15 @@ class MultiPoly:
         positions = tuple(positions)
         if len(positions) != self.nvars:
             raise ArityMismatch("one position per variable required")
+        if len(set(positions)) != len(positions) or not set(positions) <= set(range(nvars)):
+            raise IndexOutOfRange(f"positions {positions} are not distinct indices below {nvars}")
         terms = {}
         for exps, c in self.terms.items():
             big = [0] * nvars
             for pos, e in zip(positions, exps):
                 big[pos] = e
             terms[tuple(big)] = c
-        return MultiPoly(self.p, nvars, terms)
+        return MultiPoly._canonical(self.p, nvars, terms)
 
     def to_text(self) -> str:
         """Canonical rendering, e.g. 'x^2*y + x*y^2 (mod 3)'."""
@@ -258,13 +315,15 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    q = p.p
+    inv_factorial = [pow(factorial(r), -1, q) for r in range(q)]
     terms = {}
-    for exps in compositions(p.p, n, 0, p.p - 1):
-        denom = 1
+    for exps in compositions(q, n, 0, q - 1):
+        c = q - 1
         for e in exps:
-            denom = denom * factorial(e) % p.p
-        terms[exps] = -pow(denom, -1, p.p)
-    return MultiPoly(p, n, terms)
+            c = c * inv_factorial[e] % q
+        terms[exps] = c
+    return MultiPoly._canonical(p, n, terms)
 
 
 def pounds1(p: PrimeModulus) -> MultiPoly:
@@ -278,9 +337,11 @@ def homogenize(f: MultiPoly, p: PrimeModulus) -> MultiPoly:
     """G(u, v) = v^p * f(u/v) for univariate f with deg f <= p."""
     if f.nvars != 1:
         raise ArityMismatch("homogenization expects a univariate polynomial")
+    if f.p != p:
+        raise ModulusMismatch(f"polynomial mod {f.p.p} homogenized mod {p.p}")
     if f.total_degree() > p.p:
         raise DegreeTooHigh(f"degree {f.total_degree()} exceeds {p.p}")
-    return MultiPoly(p, 2, {(e[0], p.p - e[0]): c for e, c in f.terms.items()})
+    return MultiPoly._canonical(p, 2, {(e[0], p.p - e[0]): c for e, c in f.terms.items()})
 
 
 def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
@@ -331,7 +392,7 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
                 exps.append(rem // q ** (n - 1 - axis))
                 rem %= q ** (n - 1 - axis)
             terms[tuple(exps)] = c
-    return MultiPoly(p, n, terms)
+    return MultiPoly._canonical(p, n, terms)
 
 
 def _check_identity_guard(p: PrimeModulus):

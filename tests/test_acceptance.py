@@ -30,7 +30,7 @@ from modent.modular import (
     verify_fq_laws,
     verify_hom_uniqueness,
 )
-from modent.polynomials import entropy_poly, identity_reports
+from modent.polynomials import GROUPING_SIZE_GUARD, entropy_poly, identity_reports
 from modent.residue import (
     RationalDist,
     check_residue_well_defined,
@@ -111,11 +111,11 @@ def test_c05_polynomial_agreement_exhaustive():
 
 def test_c06_symbolic_identities_all_primes():
     for pp in (2, 3, 5, 7, 11, 13):
-        reports = identity_reports(PrimeModulus(pp), 5)
-        assert reports["grouping"].checks == 31
+        reports = identity_reports(PrimeModulus(pp), GROUPING_SIZE_GUARD)
+        assert reports["grouping"].checks == 63
         for name, report in reports.items():
             assert report.passed, (pp, name, report.failures)
-    _pass(6, "all identities reduce to 0 for p in 2,3,5,7,11,13 (31 grouping shapes)")
+    _pass(6, "all identities reduce to 0 for p in 2,3,5,7,11,13 (63 grouping shapes)")
 
 
 def _equal_entropy_pair(rng, kind):

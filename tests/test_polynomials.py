@@ -1,5 +1,6 @@
 """Tests for sparse polynomials over Z/pZ and the entropy polynomial."""
 
+import operator
 import random
 from itertools import product
 from math import comb
@@ -7,8 +8,16 @@ from math import comb
 import pytest
 
 from modent.distributions import ModDist, entropy
-from modent.errors import ArityMismatch, DegreeTooHigh, ModulusMismatch, RangeGuard
-from modent.modular import PrimeModulus
+from modent.errors import (
+    ArityMismatch,
+    DegreeTooHigh,
+    IndexOutOfRange,
+    InvalidPolynomial,
+    ModentError,
+    ModulusMismatch,
+    RangeGuard,
+)
+from modent.modular import PrimeModulus, Residue
 from modent.polynomials import (
     MultiPoly,
     check_cocycle,
@@ -20,6 +29,7 @@ from modent.polynomials import (
     entropy_poly,
     homogenize,
     homogenize_check,
+    identity_reports,
     interpolate,
     pounds1,
 )
@@ -40,6 +50,47 @@ def test_multipoly_canonicalization():
         MultiPoly(P3, 2, {(1,): 1})
     with pytest.raises(ValueError):
         MultiPoly(P3, 1, {(-1,): 1})
+    assert MultiPoly(P5, 1, {(1,): Residue(3, P5), (0,): -1}).terms == {(1,): 3, (0,): 4}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [{(1,): 0.5}, {(1.5,): 1}, {(1,): "3"}, {(-1,): 1}],
+    ids=["float-coefficient", "float-exponent", "str-coefficient", "negative-exponent"],
+)
+def test_multipoly_rejects_malformed_terms(terms):
+    with pytest.raises(InvalidPolynomial) as info:
+        MultiPoly(P5, 1, terms)
+    assert isinstance(info.value, ModentError) and isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator.mul, operator.add, operator.sub, lambda f, c: c * f, lambda f, c: c - f],
+    ids=["mul", "add", "sub", "rmul", "rsub"],
+)
+def test_multipoly_rejects_residue_of_another_modulus(op):
+    x = MultiPoly.variable(P5, 1, 0)
+    with pytest.raises(ModulusMismatch):
+        op(x, Residue(2, P3))
+    assert op(x, Residue(2, P5)) == op(x, 2)
+
+
+def test_multipoly_edges_reject_foreign_input():
+    x = MultiPoly.variable(P5, 2, 0)
+    with pytest.raises(ModulusMismatch):
+        MultiPoly(P5, 1, {(1,): Residue(2, P3)})
+    with pytest.raises(ModulusMismatch):
+        x.evaluate((Residue(1, P3), 0))
+    with pytest.raises(ModulusMismatch):
+        homogenize(pounds1(P3), P5)
+    with pytest.raises(TypeError):
+        x + 0.5
+    for positions in ((0, 0), (0, 3), (-1, 1)):
+        with pytest.raises(IndexOutOfRange):
+            x.embed(3, positions)
+    with pytest.raises(IndexOutOfRange):
+        MultiPoly.variable(P5, 2, -1)
 
 
 def test_multipoly_ring_operations():
@@ -226,9 +277,17 @@ def test_check_grouping_guards():
     with pytest.raises(RangeGuard):
         check_grouping(2, (4, 3), P3)
     with pytest.raises(RangeGuard):
-        check_grouping(2, (2, 1), PrimeModulus(17))
+        check_grouping(2, (2, 1), PrimeModulus(37))
     with pytest.raises(ValueError):
         check_grouping(2, (2,), P3)
+
+
+@pytest.mark.parametrize("pp", [17, 19, 23, 29, 31])
+def test_identity_reports_beyond_13(pp):
+    reports = identity_reports(PrimeModulus(pp), 4)
+    assert reports["grouping"].checks == 15
+    for name, report in reports.items():
+        assert report.passed, (pp, name, report.failures)
 
 
 def test_check_poly_chain_rule():
@@ -255,7 +314,7 @@ def test_check_cocycle():
     for pp in (2, 3, 5, 7):
         assert check_cocycle(PrimeModulus(pp)).passed
     with pytest.raises(RangeGuard):
-        check_cocycle(PrimeModulus(17))
+        check_cocycle(PrimeModulus(37))
 
 
 def test_cocycle_specialization_at_zero():
