@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidDistribution,
     InvalidPolynomial,
+    InvalidResidue,
     ModentError,
     ModulusMismatch,
     NotMeasurePreserving,

@@ -7,10 +7,14 @@ contains the entropy function.  The theorem says the full (infinite) system
 pins the solutions down to the line {c*H}; a finite truncation may be
 under-constrained, in which case the extra kernel directions are reported
 rather than treated as failures.
+
+The system is never stored: its rows are generated on demand and streamed
+into one reduced row echelon form (see `solve`).
 """
 
-from dataclasses import dataclass
 from itertools import product
+from operator import add
+from typing import NamedTuple
 
 from .distributions import compositions, entropy_of_representatives
 from .errors import RangeGuard
@@ -26,45 +30,215 @@ def _distributions(p: int, n: int):
         yield head + ((1 - sum(head)) % p,)
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ChainRuleRows:
+    """The chain-rule instances of one truncation, generated on demand.
+
+    Iterating yields one row (column -> coefficient in [1, q)) per instance
+    I(composite) - I(pi) - sum_i pi_i I(gamma^i); nothing is stored, so
+    every pass generates the rows afresh.  len() is the number of
+    instances: sum over K <= max_arity of (2q)^(K-1), since the instances
+    with composite arity K are the compositions of K into n blocks times
+    q^(n-1) choices of pi times q^(K-n) choices of the gammas.
+
+    Columns are computed, not looked up: Pi_n occupies the columns from
+    offset[n] on in `_distributions` order, so a distribution's column is
+    offset[n] plus the base-q value of its first n-1 entries, and the
+    composite's value is a sum of its blocks' scaled digit values.
+    """
+
+    def __init__(self, q: int, max_arity: int):
+        self.q = q
+        self.max_arity = max_arity
+        self.offset = [0, 0]
+        for n in range(1, max_arity + 1):
+            self.offset.append(self.offset[-1] + q ** (n - 1))
+        self._digit_values = {}
+
+    def __len__(self) -> int:
+        return sum((2 * self.q) ** (k - 1) for k in range(1, self.max_arity + 1))
+
+    def __iter__(self):
+        return self.needed(None)
+
+    def _digits(self, k: int, a: int, shift: int) -> list:
+        """Column contribution of the block a*gamma, for every gamma in Pi_k.
+
+        The block's k digits sit `shift` digits above the composite's last
+        entry, which carries no weight in the column.
+        """
+        key = (k, a, shift)
+        values = self._digit_values.get(key)
+        if values is None:
+            q = self.q
+            values = []
+            for gamma in _distributions(q, k):
+                v = 0
+                for y in gamma:
+                    v = v * q + a * y % q
+                values.append(v * q ** (shift - 1) if shift else v // q)
+            self._digit_values[key] = values
+        return values
+
+    def _shapes(self):
+        """Block sizes (k_1, ..., k_n) with sum <= max_arity.
+
+        The kernel does not depend on the order, only the work does: n
+        ascending; for n <= 2 small totals first, which enter low-arity
+        relations early and keep the stored rows sparse; for n >= 3 large
+        totals first, which tie the top-arity unknowns together soonest,
+        so the kernel becomes a line after fewer rows.
+        """
+        top = self.max_arity
+        for n in range(1, top + 1):
+            sign = 1 if n <= 2 else -1
+            shapes = (ks for total in range(n, top + 1) for ks in compositions(total, n, lo=1))
+            yield from sorted(shapes, key=lambda ks: (sign * sum(ks), ks[::-1]))
+
+    def _blocks(self, ks):
+        """Per block: (k, gamma columns, shift), shift = digits below the block."""
+        offset, shift, out = self.offset, sum(ks), []
+        for k in ks:
+            shift -= k
+            out.append((k, range(offset[k], offset[k + 1]), shift))
+        return out
+
+    def _rows(self, ks):
+        """One row per instance of shape ks, pi by pi."""
+        q, offset = self.q, self.offset
+        blocks = self._blocks(ks)
+        base = offset[sum(ks)]
+        for pi_col, pi in enumerate(_distributions(q, len(ks)), offset[len(ks)]):
+            choices = [zip(cols, self._digits(k, a, shift)) for a, (k, cols, shift) in zip(pi, blocks)]
+            for choice in product(*choices):
+                row = {pi_col: q - 1}
+                comp = base
+                for a, (col, digit) in zip(pi, choice):
+                    comp += digit
+                    if a:
+                        row[col] = (row.get(col, 0) - a) % q
+                row[comp] = (row.get(comp, 0) + 1) % q
+                yield {c: v for c, v in row.items() if v}
+
+    def needed(self, form):
+        """The rows `form` must eliminate; every row when `form` is None.
+
+        A shape whose instances the form's kernel vector already satisfies
+        is checked with list arithmetic and skipped as a whole; any other
+        shape is handed over row by row through `form.needs`.
+        """
+        cache = {}
+        for ks in self._shapes():
+            if form is not None:
+                if not form.dimension:
+                    return
+                if form.vector is not None and self._shape_holds(form, ks, cache):
+                    continue
+            for row in self._rows(ks):
+                if form is None or form.needs(row):
+                    yield row
+
+    def _shape_holds(self, form, ks, cache) -> bool:
+        """Whether the form's kernel vector satisfies every instance of shape ks.
+
+        Walks the blocks once over every prefix of choices (a_i, gamma^i),
+        keeping per prefix the composite column so far, sum a_i vec[gamma^i],
+        the pi column so far and sum a_i, which fixes the last a.  `cache`
+        keeps the per-block lists for the rest of the stream, since the
+        kernel vector no longer changes once it passes a shape.  A shape
+        that holds is counted as checked.
+        """
+        q, vec = self.q, form.vector
+
+        def block(k, cols, shift, a):
+            """Digit values and a * vec[gamma], over gamma in Pi_k."""
+            key = ("block", k, shift, a)
+            if key not in cache:
+                cache[key] = (self._digits(k, a, shift), [a * vec[c] for c in cols])
+            return cache[key]
+
+        def head(k, cols, shift, weight):
+            """Per choice (a, gamma): digit value, a * vec[gamma], a * weight and a."""
+            key = ("head", k, shift, weight)
+            if key not in cache:
+                digits, terms, weights, values = [], [], [], []
+                for a in range(q):
+                    d, t = block(k, cols, shift, a)
+                    digits += d
+                    terms += t
+                    weights += [a * weight] * len(d)
+                    values += [a] * len(d)
+                cache[key] = digits, terms, weights, values
+            return cache[key]
+
+        n = len(ks)
+        *heads, (k, cols, shift) = self._blocks(ks)
+        comps, rhss, pcols, sums = [self.offset[sum(ks)]], [0], [self.offset[n]], [0]
+        for i, block_i in enumerate(heads):
+            digits, terms, weights, values = head(*block_i, q ** (n - 2 - i))
+            comps = [c + d for c in comps for d in digits]
+            rhss = [r + t for r in rhss for t in terms]
+            pcols = [c + w for c in pcols for w in weights]
+            sums = [s + a for s in sums for a in values]
+        rhss = list(map(add, rhss, map(vec.__getitem__, pcols)))
+        lasts = [(1 - s) % q for s in sums]
+        last = [block(k, cols, shift, a) for a in range(q)]
+        comps = [c + d for c, a in zip(comps, lasts) for d in last[a][0]]
+        rhss = [r + t for r, a in zip(rhss, lasts) for t in last[a][1]]
+        if list(map(vec.__getitem__, comps)) != [r % q for r in rhss]:
+            return False
+        form.checked += len(comps)
+        return True
+
+
+class ConstraintSystem(NamedTuple):
     """Chain-rule instances with composite arity <= max_arity, as linear rows.
 
     Each row maps unknown-index -> coefficient and asserts that the
-    combination vanishes.  Rows are normalized (leading coefficient 1) and
-    deduplicated.
+    combination vanishes.  `rows` is any iterable of such mappings that
+    supports len(): `build_system` gives a `ChainRuleRows`, which generates
+    one row per instance on demand, and a hand-built system may pass a
+    tuple of dicts.
     """
 
     p: PrimeModulus
     max_arity: int
     unknowns: tuple
-    rows: tuple
+    rows: "ChainRuleRows | tuple"
 
     @property
-    def index(self) -> dict:
+    def index(self) -> dict:  # shadows tuple.index, which no caller uses
         return {u: i for i, u in enumerate(self.unknowns)}
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     """A basis of the kernel of a constraint system over Z/pZ.
 
     basis[i] is 1 at free_columns[i] and 0 at every other free column, so
     membership of a vector reduces to reading its free coordinates.
+    `rows_eliminated` rows went through elimination and `rows_checked`
+    rows were shown by evaluation to hold on the kernel already; rows
+    left unread once the kernel was {0} count in neither.
     """
 
     p: PrimeModulus
     unknowns: tuple
     basis: tuple  # tuple of coefficient tuples, one per kernel dimension
     free_columns: tuple
+    rows_eliminated: int = 0
+    rows_checked: int = 0
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
+    @property
+    def rows(self) -> int:
+        """Rows read from the system: eliminated plus checked."""
+        return self.rows_eliminated + self.rows_checked
+
 
 def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) -> ConstraintSystem:
-    """Enumerate every chain-rule instance with composite arity <= max_arity.
+    """Every chain-rule instance with composite arity <= max_arity, as a lazy row source.
 
     Instances run over n >= 1, block sizes k_i >= 1 with sum k_i <= max_arity,
     pi in Pi_n and gamma^i in Pi_{k_i}.  The row for one instance is
@@ -77,102 +251,134 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
         raise RangeGuard(
             f"{q}^{max_arity - 1} unknowns of top arity exceeds {UNKNOWN_GUARD}"
         )
-
-    unknowns = []
-    for n in range(1, max_arity + 1):
-        unknowns.extend(_distributions(q, n))
-    index = {u: i for i, u in enumerate(unknowns)}
-
-    seen = set()
-    rows = []
-    for n in range(1, max_arity + 1):
-        shapes = (ks for total in range(n, max_arity + 1) for ks in compositions(total, n, lo=1))
-        for ks in sorted(shapes):
-            gamma_pools = [tuple(_distributions(q, k)) for k in ks]
-            for pi in _distributions(q, n):
-                for gammas in product(*gamma_pools):
-                    row = {}
-
-                    def bump(dist, coeff, row=row):
-                        i = index[dist]
-                        v = (row.get(i, 0) + coeff) % q
-                        if v:
-                            row[i] = v
-                        elif i in row:
-                            del row[i]
-
-                    composite = tuple(
-                        pi_i * y % q for pi_i, g in zip(pi, gammas) for y in g
-                    )
-                    bump(composite, 1)
-                    bump(pi, -1)
-                    for pi_i, g in zip(pi, gammas):
-                        bump(g, -pi_i)
-                    if not row:
-                        continue
-                    lead = min(row)
-                    inv = pow(row[lead], -1, q)
-                    normalized = tuple(sorted((c, v * inv % q) for c, v in row.items()))
-                    if normalized not in seen:
-                        seen.add(normalized)
-                        rows.append(dict(normalized))
-    return ConstraintSystem(p, max_arity, tuple(unknowns), tuple(rows))
+    unknowns = tuple(u for n in range(1, max_arity + 1) for u in _distributions(q, n))
+    return ConstraintSystem(p, max_arity, unknowns, ChainRuleRows(q, max_arity))
 
 
-def _rref(rows, q: int) -> dict:
-    """Reduced row echelon form of sparse rows; returns pivot-column -> row.
+class _ReducedForm:
+    """Reduced row echelon form over Z/qZ, grown one row at a time.
 
-    Invariant: every stored row is 1 at its pivot column and zero at every
-    other pivot column, so kernel vectors can be read off directly.
+    Invariant: the row with pivot column c is 1 at c, zero at every other
+    pivot column and zero left of c (the min-column pivot rule); pivots[c]
+    holds its entries at free columns.  That is the unique reduced row
+    echelon form of the rows added so far, whatever their order.  users[j]
+    holds the pivot columns whose row is nonzero at the free column j, so
+    a new pivot is eliminated only from the rows that hold it.
+
+    Once the kernel is a line, `vector` spans it; a row it satisfies is
+    already in the row space and need not be eliminated.
     """
-    pivots = {}
-    for row in rows:
-        row = dict(row)
-        # eliminate every existing pivot column from the incoming row
-        while True:
-            hit = min((c for c in row if c in pivots), default=None)
-            if hit is None:
-                break
-            factor = row[hit]
-            for c, v in pivots[hit].items():
-                nv = (row.get(c, 0) - factor * v) % q
+
+    def __init__(self, q: int, count: int):
+        self.q = q
+        self.count = count
+        self.pivots = {}
+        self.users = {}
+        self.vector = self._line()
+        self.eliminated = 0
+        self.checked = 0
+
+    @property
+    def dimension(self) -> int:
+        return self.count - len(self.pivots)
+
+    def needs(self, row) -> bool:
+        """Whether `row` could still shrink the kernel; counts it as checked if not."""
+        if not self.dimension:
+            return False
+        vec = self.vector
+        if vec is None or sum(c * vec[i] for i, c in row.items()) % self.q:
+            return True
+        self.checked += 1
+        return False
+
+    def add(self, row: dict) -> None:
+        """Reduce `row` in one pass over its pivot columns and insert what is left.
+
+        `row` maps columns to coefficients in [1, q) and is consumed.
+        """
+        q, pivots, users = self.q, self.pivots, self.users
+        self.eliminated += 1
+        # a stored row is zero on every other pivot column, so subtracting it
+        # never brings back a pivot column already cleared
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            for j, v in pivots[c].items():
+                nv = (row.get(j, 0) - f * v) % q
                 if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
+                    row[j] = nv
+                else:
+                    del row[j]
         if not row:
-            continue
+            return
         col = min(row)
-        inv = pow(row[col], -1, q)
-        row = {c: v * inv % q for c, v in row.items()}
-        # and the new pivot column from every stored row
-        for prow in pivots.values():
-            f = prow.get(col, 0)
-            if f:
-                for c, v in row.items():
-                    nv = (prow.get(c, 0) - f * v) % q
-                    if nv:
-                        prow[c] = nv
-                    elif c in prow:
-                        del prow[c]
+        inv = pow(row.pop(col), -1, q)
+        if inv != 1:
+            row = {j: v * inv % q for j, v in row.items()}
+        for j in row:
+            users.setdefault(j, set()).add(col)
+        for pcol in users.pop(col, ()):
+            prow = pivots[pcol]
+            f = prow.pop(col)
+            for j, v in row.items():
+                nv = (prow.get(j, 0) - f * v) % q
+                if nv:
+                    if j not in prow:
+                        users[j].add(pcol)
+                    prow[j] = nv
+                else:
+                    del prow[j]
+                    users[j].discard(pcol)
         pivots[col] = row
-    return pivots
+        if self.dimension <= 1:
+            self.vector = self._line()
+
+    def _line(self):
+        """The kernel vector when the kernel is a line, else None."""
+        return self.kernel()[1][0] if self.dimension == 1 else None
+
+    def kernel(self):
+        """(free columns, basis): basis[i] is 1 at free column i, 0 at the others."""
+        q, count = self.q, self.count
+        free_cols = [j for j in range(count) if j not in self.pivots]
+        basis = []
+        for j in free_cols:
+            vec = [0] * count
+            vec[j] = 1
+            for col in self.users.get(j, ()):
+                vec[col] = -self.pivots[col][j] % q
+            basis.append(vec)
+        return free_cols, basis
 
 
 def solve(system: ConstraintSystem) -> SolutionSpace:
-    """Kernel of the system over Z/pZ, by exact Gaussian elimination."""
-    q = system.p.p
-    count = len(system.unknowns)
-    pivots = _rref(system.rows, q)
-    free_cols = [j for j in range(count) if j not in pivots]
-    basis = []
-    for j in free_cols:
-        vec = [0] * count
-        vec[j] = 1
-        for col, row in pivots.items():
-            vec[col] = (-row.get(j, 0)) % q
-        basis.append(tuple(vec))
-    return SolutionSpace(system.p, system.unknowns, tuple(basis), tuple(free_cols))
+    """Kernel of the system over Z/pZ, by exact streaming Gaussian elimination.
+
+    Rows go one at a time into a reduced echelon form.  Once the kernel is
+    a line, a row is evaluated on its vector instead: a row the vector
+    satisfies lies in the row space already, and one it violates is
+    eliminated and leaves the kernel {0}, after which no row is read.
+    The kernel is that of the whole system, by the same reduced form as
+    eliminating every row.
+    """
+    form = _ReducedForm(system.p.p, len(system.unknowns))
+    rows = system.rows
+    if isinstance(rows, ChainRuleRows):
+        needed = rows.needed(form)
+    else:
+        q = system.p.p
+        needed = ({c: v % q for c, v in row.items() if v % q} for row in rows if form.needs(row))
+    for row in needed:
+        form.add(row)
+    free_cols, basis = form.kernel()
+    return SolutionSpace(
+        system.p,
+        system.unknowns,
+        tuple(map(tuple, basis)),
+        tuple(free_cols),
+        form.eliminated,
+        form.checked,
+    )
 
 
 def entropy_vector(unknowns, p: PrimeModulus) -> tuple:

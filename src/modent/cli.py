@@ -232,7 +232,9 @@ def _cmd_characterize(args):
         "p": p.p,
         "max_arity": args.max_arity,
         "unknowns": len(system.unknowns),
-        "rows": len(system.rows),
+        "rows": solution.rows,
+        "rows_eliminated": solution.rows_eliminated,
+        "rows_checked": solution.rows_checked,
         "kernel_dim": report.data["dimension"],
         "contains_entropy": report.data["contains_entropy"],
         "kernel_is_entropy_line": report.data["kernel_is_entropy_line"],

@@ -22,7 +22,12 @@ class InvalidDistribution(ModentError, ValueError):
 
 
 class InvalidPolynomial(ModentError, ValueError):
-    """A polynomial term has a non-int or negative exponent, or a non-int coefficient."""
+    """A polynomial's prime is not a PrimeModulus, its variable count or an
+    exponent is not a nonnegative int, or a coefficient is not an int."""
+
+
+class InvalidResidue(ModentError, TypeError):
+    """A residue was given a value that is neither an int nor a residue."""
 
 
 class ArityMismatch(ModentError):

@@ -181,11 +181,20 @@ def compose_maps(g: MPMap, f: MPMap) -> MPMap:
     return MPMap(f.domain, g.codomain, mapping)
 
 
+def _tagged(i: int, label):
+    """Label `label` of the i-th summand: "i/label" for a string, else (i, label).
+
+    Both forms are injective and cannot meet, so distinct labels such as 1
+    and "1" stay distinct.
+    """
+    return f"{i}/{label}" if isinstance(label, str) else (i, label)
+
+
 def _combined_space(weights: ModDist, spaces) -> FinProbSpace:
     labels, values = [], []
     for i, (w, s) in enumerate(zip(weights.probs, spaces)):
         for y in s.labels:
-            labels.append(f"{i}/{y}")
+            labels.append(_tagged(i, y))
             values.append(w * s.weight(y))
     return FinProbSpace(labels, ModDist(weights.p, values))
 
@@ -193,8 +202,9 @@ def _combined_space(weights: ModDist, spaces) -> FinProbSpace:
 def convex_combine_maps(weights: ModDist, maps) -> MPMap:
     """Disjoint-union map between convex combinations of the given maps.
 
-    Labels of the combined spaces are namespaced "i/label" by the position
-    of the weight.  The loss of the result is the weighted sum of losses.
+    Labels of the combined spaces are namespaced by the position i of the
+    weight: "i/label" for a string label, the pair (i, label) for any
+    other.  The loss of the result is the weighted sum of losses.
     """
     maps = tuple(maps)
     if len(maps) != len(weights):
@@ -207,7 +217,7 @@ def convex_combine_maps(weights: ModDist, maps) -> MPMap:
     mapping = {}
     for i, f in enumerate(maps):
         for y in f.domain.labels:
-            mapping[f"{i}/{y}"] = f"{i}/{f.mapping[y]}"
+            mapping[_tagged(i, y)] = _tagged(i, f.mapping[y])
     return make_map(domain, codomain, mapping)
 
 

@@ -12,7 +12,7 @@ exponentiation, so no big-integer towers arise for large a.
 
 from dataclasses import dataclass
 
-from .errors import DivisibleByP, ModulusMismatch, NotPrime, RangeGuard
+from .errors import DivisibleByP, InvalidResidue, ModulusMismatch, NotPrime, RangeGuard
 from .verification import VerificationReport
 
 # Deterministic witness set: correct for every n < 3.3 * 10^24.
@@ -80,10 +80,14 @@ class Residue:
     __slots__ = ("value", "modulus")
 
     def __init__(self, value, modulus: PrimeModulus):
-        if isinstance(value, Residue):
-            if value.modulus != modulus:
-                raise ModulusMismatch(f"residue mod {value.modulus.p} given for mod {modulus.p}")
-            value = value.value
+        # plain ints, the hot path, pass one class comparison and no call
+        if value.__class__ is not int:
+            if isinstance(value, Residue):
+                if value.modulus != modulus:
+                    raise ModulusMismatch(f"residue mod {value.modulus.p} given for mod {modulus.p}")
+                value = value.value
+            elif not isinstance(value, int):
+                raise InvalidResidue(f"residue value {value!r} is neither an int nor a residue")
         object.__setattr__(self, "value", value % modulus.p)
         object.__setattr__(self, "modulus", modulus)
 

@@ -64,7 +64,8 @@ class MultiPoly:
     """A polynomial over Z/pZ, stored as exponent-vector -> nonzero coefficient.
 
     `MultiPoly(p, nvars, terms)` validates and canonicalizes outside input:
-    exponents must be nonnegative ints, coefficients ints or residues mod p.
+    p must be a `PrimeModulus`, nvars and the exponents nonnegative ints,
+    coefficients ints or residues mod p.
     Every operation below builds its result in canonical form (tuple keys of
     length nvars, coefficients in [1, p)) and wraps it with `_canonical`,
     which checks nothing.
@@ -73,6 +74,10 @@ class MultiPoly:
     __slots__ = ("p", "nvars", "terms")
 
     def __init__(self, p: PrimeModulus, nvars: int, terms=()):
+        if not isinstance(p, PrimeModulus):
+            raise InvalidPolynomial(f"the prime must be a PrimeModulus, got {p!r}")
+        if not isinstance(nvars, int) or nvars < 0:
+            raise InvalidPolynomial(f"the number of variables must be a nonnegative int, got {nvars!r}")
         q = p.p
         canonical = {}
         items = terms.items() if isinstance(terms, dict) else terms

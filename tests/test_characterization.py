@@ -1,18 +1,20 @@
 """Tests for the truncated chain-rule constraint system and its kernel."""
 
+import random
 from itertools import product
 
 import pytest
 
 from modent.characterization import (
     ConstraintSystem,
+    _ReducedForm,
     build_system,
     compare_with_entropy,
     entropy_vector,
     in_span,
     solve,
 )
-from modent.distributions import ModDist, compose
+from modent.distributions import ModDist, compose, compositions
 from modent.errors import RangeGuard
 from modent.modular import PrimeModulus
 
@@ -226,3 +228,170 @@ def test_guard_and_override(monkeypatch):
         build_system(P2, 3)
     system = build_system(P2, 3, override_guard=True)
     assert len(system.unknowns) == 7
+
+
+# --- the streaming solver against eliminating every deduplicated row ------
+
+
+def deduplicated_rows(q, max_arity):
+    """The chain-rule rows, normalized to lead coefficient 1 and deduplicated.
+
+    Built by tuple lookup, as the system was built before rows were
+    streamed, independently of the column arithmetic in ChainRuleRows.
+    """
+    unknowns = [h + ((1 - sum(h)) % q,) for n in range(1, max_arity + 1) for h in product(range(q), repeat=n - 1)]
+    index = {u: i for i, u in enumerate(unknowns)}
+    pools = {k: [u for u in unknowns if len(u) == k] for k in range(1, max_arity + 1)}
+    rows = set()
+    for n in range(1, max_arity + 1):
+        for total in range(n, max_arity + 1):
+            for ks in compositions(total, n, lo=1):
+                for pi in pools[n]:
+                    for gammas in product(*(pools[k] for k in ks)):
+                        composite = tuple(a * y % q for a, g in zip(pi, gammas) for y in g)
+                        row = {}
+                        for dist, coeff in [(composite, 1), (pi, -1)] + [(g, -a) for a, g in zip(pi, gammas)]:
+                            row[index[dist]] = row.get(index[dist], 0) + coeff
+                        row = {c: v % q for c, v in row.items() if v % q}
+                        inv = pow(row[min(row)], -1, q)
+                        rows.add(tuple(sorted((c, v * inv % q) for c, v in row.items())))
+    return len(unknowns), sorted(rows)
+
+
+def dense_kernel(q, count, rows):
+    """Gauss-Jordan elimination on dense rows over Z/qZ, q < 128: (free columns, basis).
+
+    A dense row is a bytes object with one entry in [0, q) per column.
+    row - f * prow maps prow through b -> (-f*b) % q, adds the two rows as
+    big ints (each column's sum is below 2q <= 256, so none carries into
+    the next) and maps every byte x -> x % q.
+    """
+    assert q < 128
+    negated = [bytes(-f * b % q if b < q else 0 for b in range(256)) for f in range(q)]
+    scaled = [bytes(f * b % q if b < q else 0 for b in range(256)) for f in range(q)]
+    reduced = bytes(x % q for x in range(256))
+
+    def subtract(row, f, prow):
+        total = int.from_bytes(row, "big") + int.from_bytes(prow.translate(negated[f]), "big")
+        return total.to_bytes(count, "big").translate(reduced)
+
+    pivots = {}
+    for sparse in rows:
+        row = bytearray(count)
+        for c, v in sparse:
+            row[c] = v
+        row = bytes(row)
+        for col, prow in pivots.items():
+            if row[col]:
+                row = subtract(row, row[col], prow)
+        lead = count - len(row.lstrip(b"\0"))
+        if lead == count:
+            continue
+        row = row.translate(scaled[pow(row[lead], -1, q)])
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = subtract(prow, prow[lead], row)
+        pivots[lead] = row
+    free = tuple(j for j in range(count) if j not in pivots)
+    basis = []
+    for j in free:
+        vec = [0] * count
+        vec[j] = 1
+        for col, prow in pivots.items():
+            vec[col] = -prow[j] % q
+        basis.append(tuple(vec))
+    return free, tuple(basis)
+
+
+PRIMES = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
+DENSE_CELLS = [(p, n) for p in PRIMES for n in range(1, 10) if p ** (n - 1) <= 300]
+
+
+@pytest.mark.parametrize("p,n", DENSE_CELLS, ids=[f"p{p}-N{n}" for p, n in DENSE_CELLS])
+def test_solve_matches_dense_elimination_of_deduplicated_rows(p, n):
+    count, rows = deduplicated_rows(p, n)
+    system = build_system(PrimeModulus(p), n)
+    assert len(system.unknowns) == count
+    # the stream holds the same rows, each once per instance
+    streamed = set()
+    for row in system.rows:
+        inv = pow(row[min(row)], -1, p)
+        streamed.add(tuple(sorted((c, v * inv % p) for c, v in row.items())))
+    assert sorted(streamed) == rows
+    free, basis = dense_kernel(p, count, rows)
+    solution = solve(system)
+    assert solution.free_columns == free
+    assert solution.basis == basis
+
+
+def test_rows_stream_one_row_per_instance():
+    for p, n in ((P2, 5), (P3, 4), (P5, 3)):
+        rows = build_system(p, n).rows
+        q = p.p
+        # compositions of K into n blocks, times q^(n-1) choices of pi and
+        # q^(K-n) choices of the gammas
+        instances = sum(
+            q ** (len(ks) - 1) * q ** (total - len(ks))
+            for total in range(1, n + 1)
+            for parts in range(1, total + 1)
+            for ks in compositions(total, parts, lo=1)
+        )
+        assert len(rows) == instances == sum(1 for _ in rows) == sum(1 for _ in rows)
+        assert all(row and all(0 < v < q for v in row.values()) for row in rows)
+
+
+def test_solution_counts_the_rows_it_read():
+    for p, n in ((P2, 6), (P3, 5), (P5, 4), (P2, 2)):
+        system = build_system(p, n)
+        solution = solve(system)
+        # H is in every kernel, so no row leaves the kernel {0} early
+        assert solution.rows == solution.rows_eliminated + solution.rows_checked == len(system.rows)
+        assert solution.dimension >= 1
+    redundant = solve(build_system(P2, 8))
+    assert redundant.rows_checked > 4 * redundant.rows_eliminated
+    underdetermined = solve(build_system(P3, 3))
+    assert underdetermined.rows_checked == 0  # the kernel never becomes a line
+
+
+def test_row_after_the_kernel_is_a_line_is_checked_and_can_break_it():
+    # x0 = 0 and x1 = 0 leave the line spanned by e2; 2*x0 + x1 = 0 holds on
+    # it and is only checked, x2 = 0 fails and empties the kernel, and the
+    # last row is never read
+    unknowns = ((1,), (1, 0), (0, 1))
+    rows = ({0: 1}, {1: 1}, {0: 2, 1: 1}, {2: 1}, {0: 1, 2: 1})
+    solution = solve(ConstraintSystem(P3, 2, unknowns, rows))
+    assert solution.dimension == 0
+    assert solution.free_columns == () and solution.basis == ()
+    assert (solution.rows_eliminated, solution.rows_checked) == (3, 1)
+
+    kept = solve(ConstraintSystem(P3, 2, unknowns, rows[:3]))
+    assert kept.dimension == 1
+    assert kept.basis == ((0, 0, 1),)
+    assert (kept.rows_eliminated, kept.rows_checked) == (2, 1)
+
+
+def test_kernel_line_checks_yield_exactly_the_violated_rows():
+    # a form whose kernel is a line that is not the entropy line: the stream
+    # must hand over exactly the chain-rule rows that the line violates,
+    # whether a whole shape is checked at once or row by row
+    rng = random.Random(20190316)
+    for p, n in ((P2, 5), (P3, 4), (P5, 3)):
+        q = p.p
+        system = build_system(p, n)
+        count = len(system.unknowns)
+        h = entropy_vector(system.unknowns, p)
+        pinned = (0,) * (count - 1) + (1,)
+        noisy = list(h)
+        noisy[rng.randrange(count)] += 1
+        for line in (h, pinned, noisy, [rng.randrange(q) for _ in range(count)]):
+            j = max(i for i, v in enumerate(line) if v % q)
+            inv = pow(line[j], -1, q)
+            line = [v * inv % q for v in line]
+            form = _ReducedForm(q, count)
+            for i in range(count):
+                if i != j:
+                    form.add({i: 1, j: -line[i] % q} if line[i] else {i: 1})
+            assert form.dimension == 1 and list(form.vector) == line
+            violated = [row for row in system.rows if sum(c * line[i] for i, c in row.items()) % q]
+            assert list(system.rows.needed(form)) == violated
+            assert form.checked == len(system.rows) - len(violated)

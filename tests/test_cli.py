@@ -242,6 +242,10 @@ def test_characterize_command(capsys):
     assert out["contains_entropy"] == "true"
     assert out["kernel_is_entropy_line"] == "true"
     assert out["unknowns"] == "63"
+    # every one of the 1365 instances is read: eliminated or checked on the kernel line
+    assert out["rows"] == "1365"
+    assert int(out["rows_eliminated"]) + int(out["rows_checked"]) == 1365
+    assert int(out["rows_checked"]) > 0
 
 
 def test_uniform_command(capsys):

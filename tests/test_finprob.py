@@ -217,6 +217,18 @@ def test_convex_combination_examples():
     assert info_loss(ids).value == 0
 
 
+def test_convex_combination_keeps_int_and_str_labels_apart():
+    # 1 and "1" are distinct labels; combined they must stay distinct
+    s = FinProbSpace((1, "1"), ModDist(P3, (2, 2)))
+    t = FinProbSpace(("x",), ModDist(P3, (1,)))
+    f = make_map(s, t, {1: "x", "1": "x"})
+    combined = convex_combine_maps(ModDist(P3, (2, 2)), (f, identity_map(s)))
+    assert combined.domain.labels == ((0, 1), "0/1", (1, 1), "1/1")
+    assert combined.codomain.labels == ("0/x", (1, 1), "1/1")
+    assert combined.mapping[(0, 1)] == "0/x" and combined.mapping[(1, 1)] == (1, 1)
+    assert info_loss(combined) == 2 * info_loss(f)
+
+
 def test_convex_combination_affine_random():
     rng = random.Random(SEED + 3)
     for _ in range(80):

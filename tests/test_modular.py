@@ -86,6 +86,21 @@ def test_residue_modulus_mismatch():
         Residue(Residue(1, P3), P5)
 
 
+def test_residue_rejects_non_integer_values():
+    from modent.distributions import ModDist
+    from modent.errors import InvalidResidue
+
+    for value in (0.5, 1.0, "1", None):
+        with pytest.raises(InvalidResidue) as info:
+            Residue(value, P3)
+        assert isinstance(info.value, ModentError) and isinstance(info.value, TypeError)
+    # 0.5 + 0.5 = 1 used to pass the sum check and fail later inside entropy
+    with pytest.raises(InvalidResidue):
+        ModDist(P3, (0.5, 0.5))
+    assert Residue(True, P3).value == 1
+    assert Residue(Residue(2, P3), P3).value == 2
+
+
 def test_lifted_residue_canonical_range():
     x = LiftedResidue(26, P5)
     assert x.value == 1

@@ -76,6 +76,18 @@ def test_multipoly_rejects_residue_of_another_modulus(op):
     assert op(x, Residue(2, P5)) == op(x, 2)
 
 
+@pytest.mark.parametrize(
+    "p,nvars",
+    [(5, 1), (None, 1), (P5, -1), (P5, 1.0), (P5, "2")],
+    ids=["int-prime", "no-prime", "negative-nvars", "float-nvars", "str-nvars"],
+)
+def test_multipoly_rejects_malformed_prime_or_nvars(p, nvars):
+    with pytest.raises(InvalidPolynomial) as info:
+        MultiPoly(p, nvars, {})
+    assert isinstance(info.value, ModentError)
+    assert MultiPoly(P5, 0, {(): 3}).terms == {(): 3}
+
+
 def test_multipoly_edges_reject_foreign_input():
     x = MultiPoly.variable(P5, 2, 0)
     with pytest.raises(ModulusMismatch):
