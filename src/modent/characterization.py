@@ -205,10 +205,6 @@ class ConstraintSystem(NamedTuple):
     unknowns: tuple
     rows: "ChainRuleRows | tuple"
 
-    @property
-    def index(self) -> dict:  # shadows tuple.index, which no caller uses
-        return {u: i for i, u in enumerate(self.unknowns)}
-
 
 class SolutionSpace(NamedTuple):
     """A basis of the kernel of a constraint system over Z/pZ.

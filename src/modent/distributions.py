@@ -8,6 +8,8 @@ compose operadically, and H_p satisfies the chain rule
     H(pi o (g^1, ..., g^n)) = H(pi) + sum_i pi_i * H(g^i).
 """
 
+from itertools import repeat
+
 from .errors import (
     ArityMismatch,
     DivisibleByP,
@@ -16,116 +18,127 @@ from .errors import (
     ModulusMismatch,
     SumNotOne,
 )
-from .modular import PrimeModulus, Residue
+from .modular import PrimeModulus, Residue, as_int, as_ints
 
 
 def compositions(total: int, parts: int, lo: int = 0, hi=None):
     """Every tuple of `parts` ints in [lo, hi] summing to `total`, in lexicographic order.
 
-    `hi=None` leaves the parts unbounded above.
+    `hi=None` leaves the parts unbounded above.  Iterative: each step raises
+    the rightmost part that can rise and refills the parts after it as low
+    as they can go.
     """
     if parts == 0:
         if total == 0:
             yield ()
         return
-    top = total - (parts - 1) * lo
-    if hi is not None:
-        top = min(top, hi)
-    for first in range(lo, top + 1):
-        for rest in compositions(total - first, parts - 1, lo, hi):
-            yield (first,) + rest
+    if hi is None:
+        hi = total - (parts - 1) * lo
+    if not parts * lo <= total <= parts * hi:
+        return
+    c, last = [0] * parts, parts - 1
+    i, rest = 0, total  # refill c[i:] to sum to rest
+    while True:
+        for j in range(i, last):
+            c[j] = max(lo, rest - (last - j) * hi)
+            rest -= c[j]
+        c[last] = rest
+        yield tuple(c)
+        # the rightmost part below hi whose tail can still fall by one
+        rest, i = c[last], last - 1
+        while i >= 0 and (c[i] == hi or rest == (last - i) * lo):
+            rest += c[i]
+            i -= 1
+        if i < 0:
+            return
+        c[i] += 1
+        rest -= 1
+        i += 1
 
 
-def _as_residues(values, p: PrimeModulus):
-    out = []
-    for v in values:
-        if isinstance(v, Residue):
-            if v.modulus != p:
-                raise ModulusMismatch(f"entry mod {v.modulus.p} in a tuple mod {p.p}")
-            out.append(v)
-        else:
-            out.append(Residue(v, p))
-    return tuple(out)
+class _Entries:
+    """An immutable tuple of ints in [0, p), read as Residues through iteration and indexing."""
 
+    __slots__ = ("p", "_values")
 
-class ModDist:
-    """An element of Pi_n: a length-n tuple over Z/pZ summing to 1, n >= 1."""
-
-    __slots__ = ("p", "probs")
-
-    def __init__(self, p: PrimeModulus, probs):
-        probs = _as_residues(probs, p)
-        if len(probs) == 0:
-            raise InvalidDistribution("a distribution has at least one entry (Pi_0 is empty)")
-        total = sum(r.value for r in probs) % p.p
-        if total != 1:
-            raise SumNotOne(total, f"entries sum to {total} mod {p.p}, expected 1")
+    def _set(self, p, values):
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "_values", values)
+
+    @classmethod
+    def _canonical(cls, p: PrimeModulus, values: tuple):
+        """Wrap a tuple of ints in [0, p) that meets the class's condition, without checking it."""
+        entries = object.__new__(cls)
+        entries._set(p, values)
+        return entries
 
     def __setattr__(self, name, val):
-        raise AttributeError("ModDist is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
-        return len(self.probs)
+        return len(self._values)
 
     def __iter__(self):
-        return iter(self.probs)
+        return (Residue(v, self.p) for v in self._values)
 
     def __getitem__(self, i):
-        return self.probs[i]
+        return Residue(self._values[i], self.p)
 
     def values(self) -> tuple:
-        return tuple(r.value for r in self.probs)
+        return self._values
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ModDist)
-            and self.p == other.p
-            and self.values() == other.values()
-        )
+        return type(other) is type(self) and self.p == other.p and self._values == other._values
 
     def __hash__(self):
-        return hash((self.p.p, self.values()))
+        return hash((self.p.p, self._values))
 
     def __repr__(self):
-        return f"ModDist(p={self.p.p}, {self.values()})"
+        return f"{type(self).__name__}(p={self.p.p}, {self._values})"
 
 
-class ModMeasure:
+class ModDist(_Entries):
+    """An element of Pi_n: a length-n tuple over Z/pZ summing to 1, n >= 1."""
+
+    __slots__ = ()
+
+    def __init__(self, p: PrimeModulus, probs):
+        values = as_ints(probs, p)
+        if len(values) == 0:
+            raise InvalidDistribution("a distribution has at least one entry (Pi_0 is empty)")
+        total = sum(values) % p.p
+        if total != 1:
+            raise SumNotOne(total, f"entries sum to {total} mod {p.p}, expected 1")
+        self._set(p, values)
+
+    @property
+    def probs(self) -> tuple:
+        return tuple(self)
+
+
+class ModMeasure(_Entries):
     """A finite tuple over Z/pZ with unconstrained sum (possibly empty)."""
 
-    __slots__ = ("p", "weights")
+    __slots__ = ()
 
     def __init__(self, p: PrimeModulus, weights):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "weights", _as_residues(weights, p))
+        self._set(p, as_ints(weights, p))
 
-    def __setattr__(self, name, val):
-        raise AttributeError("ModMeasure is immutable")
-
-    def __len__(self):
-        return len(self.weights)
-
-    def values(self) -> tuple:
-        return tuple(r.value for r in self.weights)
+    @property
+    def weights(self) -> tuple:
+        return tuple(self)
 
     def scale(self, factor) -> "ModMeasure":
-        factor = factor if isinstance(factor, Residue) else Residue(factor, self.p)
-        return ModMeasure(self.p, tuple(factor * w for w in self.weights))
+        factor, p = as_int(factor, self.p), self.p.p
+        return ModMeasure._canonical(self.p, tuple([factor * w % p for w in self._values]))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModMeasure)
-            and self.p == other.p
-            and self.values() == other.values()
-        )
 
-    def __hash__(self):
-        return hash((self.p.p, self.values()))
-
-    def __repr__(self):
-        return f"ModMeasure(p={self.p.p}, {self.values()})"
+def _measure_entropy(reps, p: int) -> int:
+    """((sum a_i)^p - sum a_i^p)/p mod p on ints; H_p when the a_i sum to 1 mod p,
+    because then (sum a_i)^p = 1 mod p²."""
+    p2 = p * p
+    power_sum = sum(map(pow, reps, repeat(p), repeat(p2)))
+    return (pow(sum(reps), p, p2) - power_sum) % p2 // p  # divisible by p, by Fermat
 
 
 def entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
@@ -134,32 +147,26 @@ def entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     Any choice of representatives gives the same result; this entry point
     exists so that independence of the choice can be exercised directly.
     """
+    reps = tuple(reps)  # read twice: a generator would be empty the second time
     total = sum(reps) % p.p
     if total != 1:
         raise SumNotOne(total, f"representatives sum to {total} mod {p.p}, expected 1")
-    p2 = p.p_squared
-    power_sum = sum(pow(a % p2, p.p, p2) for a in reps) % p2
-    diff = (1 - power_sum) % p2  # divisible by p since sum a_i^p = sum a_i = 1 mod p
-    return Residue(diff // p.p, p)
+    return Residue(_measure_entropy(reps, p.p), p)
 
 
 def measure_entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     """((sum a_i)^p - sum a_i^p)/p mod p, the degree-1 homogeneous extension."""
-    p2 = p.p_squared
-    total = sum(a % p2 for a in reps) % p2
-    power_sum = sum(pow(a % p2, p.p, p2) for a in reps) % p2
-    diff = (pow(total, p.p, p2) - power_sum) % p2
-    return Residue(diff // p.p, p)
+    return Residue(_measure_entropy(tuple(reps), p.p), p)
 
 
 def entropy(d: ModDist) -> Residue:
     """The entropy H_p of a distribution mod p."""
-    return entropy_of_representatives(d.values(), d.p)
+    return Residue(_measure_entropy(d.values(), d.p.p), d.p)
 
 
 def entropy_measure(m: ModMeasure) -> Residue:
     """The homogeneous extension of H_p to arbitrary tuples; empty tuple gives 0."""
-    return measure_entropy_of_representatives(m.values(), m.p)
+    return Residue(_measure_entropy(m.values(), m.p.p), m.p)
 
 
 def compose(outer: ModDist, inners) -> ModDist:
@@ -170,10 +177,9 @@ def compose(outer: ModDist, inners) -> ModDist:
     for g in inners:
         if g.p != outer.p:
             raise ModulusMismatch("all distributions in a composite must share p")
-    entries = []
-    for pi, g in zip(outer.probs, inners):
-        entries.extend(pi * y for y in g.probs)
-    return ModDist(outer.p, entries)
+    p = outer.p.p
+    entries = [pi * y % p for pi, g in zip(outer.values(), inners) for y in g.values()]
+    return ModDist._canonical(outer.p, tuple(entries))  # sums to sum_i pi_i * 1 = 1
 
 
 def tensor(a: ModDist, b: ModDist) -> ModDist:
@@ -189,8 +195,7 @@ def uniform(n: int, p: PrimeModulus) -> ModDist:
         raise ValueError("n must be positive")
     if n % p.p == 0:
         raise DivisibleByP(f"u_{n} does not exist mod {p.p}")
-    entry = Residue(n, p).inverse()
-    return ModDist(p, (entry,) * n)
+    return ModDist._canonical(p, (pow(n, -1, p.p),) * n)
 
 
 def pad_zeros(d: ModDist, position: int, count: int) -> ModDist:
@@ -199,6 +204,5 @@ def pad_zeros(d: ModDist, position: int, count: int) -> ModDist:
         raise IndexOutOfRange(f"position {position} not in [0, {len(d)}]")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    zero = Residue(0, d.p)
-    probs = d.probs[:position] + (zero,) * count + d.probs[position:]
-    return ModDist(d.p, probs)
+    v = d.values()
+    return ModDist._canonical(d.p, v[:position] + (0,) * count + v[position:])

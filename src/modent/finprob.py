@@ -7,7 +7,7 @@ vanishes on isomorphisms, adds under composition, and is affine under
 convex combination of maps.
 """
 
-from .distributions import ModDist, ModMeasure, entropy, entropy_measure
+from .distributions import ModDist, _measure_entropy
 from .errors import (
     CompositionMismatch,
     ModulusMismatch,
@@ -23,16 +23,18 @@ TERMINAL_LABEL = "*"
 class FinProbSpace:
     """A finite set of distinct labels carrying a distribution mod p."""
 
-    __slots__ = ("labels", "dist")
+    __slots__ = ("labels", "dist", "_index")
 
     def __init__(self, labels, dist: ModDist):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+        index = {y: i for i, y in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError("labels must be distinct")
         if len(labels) != len(dist):
             raise ValueError(f"{len(labels)} labels but {len(dist)} probabilities")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, val):
         raise AttributeError("FinProbSpace is immutable")
@@ -43,8 +45,8 @@ class FinProbSpace:
 
     def weight(self, label) -> Residue:
         try:
-            return self.dist[self.labels.index(label)]
-        except ValueError:
+            return self.dist[self._index[label]]
+        except KeyError:
             raise UnknownLabel(label) from None
 
     def __eq__(self, other):
@@ -113,20 +115,27 @@ def make_map(domain: FinProbSpace, codomain: FinProbSpace, mapping) -> MPMap:
         if y not in mapping:
             raise UnknownLabel(f"no image for domain label {y!r}")
     for y, x in mapping.items():
-        if y not in domain.labels:
+        if y not in domain._index:
             raise UnknownLabel(f"{y!r} is not a domain label")
-        if x not in codomain.labels:
+        if x not in codomain._index:
             raise UnknownLabel(f"{x!r} is not a codomain label")
-    p = domain.p
-    for x in codomain.labels:
-        fibre_sum = Residue(0, p)
-        for y in domain.labels:
-            if mapping[y] == x:
-                fibre_sum = fibre_sum + domain.weight(y)
-        expected = codomain.weight(x)
-        if fibre_sum != expected:
-            raise NotMeasurePreserving(x, expected.value, fibre_sum.value)
+    p = domain.p.p
+    for x, (expected, fibre) in zip(codomain.labels, _fibres(domain, codomain, mapping)):
+        if sum(fibre) % p != expected:
+            raise NotMeasurePreserving(x, expected, sum(fibre) % p)
     return MPMap(domain, codomain, mapping)
+
+
+def _fibres(domain: FinProbSpace, codomain: FinProbSpace, mapping) -> zip:
+    """(pi_x, the domain weights over x) per codomain point x, in order, as ints.
+
+    One pass over the domain builds every fibre.
+    """
+    fibres = [[] for _ in codomain.labels]
+    index = codomain._index
+    for y, w in zip(domain.labels, domain.dist.values()):
+        fibres[index[mapping[y]]].append(w)
+    return zip(codomain.dist.values(), fibres)
 
 
 def identity_map(space: FinProbSpace) -> MPMap:
@@ -135,7 +144,9 @@ def identity_map(space: FinProbSpace) -> MPMap:
 
 def info_loss(f: MPMap) -> Residue:
     """L(f) = H(domain) - H(codomain)."""
-    return entropy(f.domain.dist) - entropy(f.codomain.dist)
+    p = f.domain.p
+    h_domain = _measure_entropy(f.domain.dist.values(), p.p)
+    return Residue(h_domain - _measure_entropy(f.codomain.dist.values(), p.p), p)
 
 
 def info_loss_conditional(f: MPMap) -> Residue:
@@ -148,15 +159,12 @@ def info_loss_conditional(f: MPMap) -> Residue:
 
         info_loss(f) = info_loss_conditional(f) + conditional_defect(f).
     """
-    total = Residue(0, f.domain.p)
-    for x in f.codomain.labels:
-        pi_x = f.codomain.weight(x)
-        if pi_x.value == 0:
-            continue
-        inv = pi_x.inverse()
-        fibre_dist = ModDist(f.domain.p, tuple(f.domain.weight(y) * inv for y in f.fibre(x)))
-        total = total + pi_x * entropy(fibre_dist)
-    return total
+    p, total = f.domain.p.p, 0
+    for pi_x, fibre in _fibres(f.domain, f.codomain, f.mapping):
+        if pi_x:
+            inv = pow(pi_x, -1, p)
+            total += pi_x * _measure_entropy([w * inv % p for w in fibre], p)
+    return Residue(total, f.domain.p)
 
 
 def conditional_defect(f: MPMap) -> Residue:
@@ -165,12 +173,9 @@ def conditional_defect(f: MPMap) -> Residue:
     Zero whenever those fibres carry only zero weights, which is the case
     where the conditional form of the loss is exact.
     """
-    total = Residue(0, f.domain.p)
-    for x in f.codomain.labels:
-        if f.codomain.weight(x).value == 0:
-            fibre = ModMeasure(f.domain.p, tuple(f.domain.weight(y) for y in f.fibre(x)))
-            total = total + entropy_measure(fibre)
-    return total
+    p = f.domain.p
+    fibres = _fibres(f.domain, f.codomain, f.mapping)
+    return Residue(sum(_measure_entropy(fibre, p.p) for pi_x, fibre in fibres if pi_x == 0), p)
 
 
 def compose_maps(g: MPMap, f: MPMap) -> MPMap:
@@ -191,12 +196,11 @@ def _tagged(i: int, label):
 
 
 def _combined_space(weights: ModDist, spaces) -> FinProbSpace:
-    labels, values = [], []
-    for i, (w, s) in enumerate(zip(weights.probs, spaces)):
-        for y in s.labels:
-            labels.append(_tagged(i, y))
-            values.append(w * s.weight(y))
-    return FinProbSpace(labels, ModDist(weights.p, values))
+    labels, values, p = [], [], weights.p.p
+    for i, (w, s) in enumerate(zip(weights.values(), spaces)):
+        labels += [_tagged(i, y) for y in s.labels]
+        values += [w * v % p for v in s.dist.values()]
+    return FinProbSpace(labels, ModDist._canonical(weights.p, tuple(values)))  # sums to sum w = 1
 
 
 def convex_combine_maps(weights: ModDist, maps) -> MPMap:

@@ -1,7 +1,8 @@
 """Exact arithmetic in Z/pZ and Z/p²Z, the Fermat quotient and the p-derivation.
 
-Residues are always canonicalized to [0, p) (resp. [0, p²)), so equality and
-hashing are structural.  The two maps at the heart of the package are
+Inside the package elements are plain ints in [0, p) (resp. [0, p²));
+`as_int` checks a value once at the API edge, and a Residue is built only
+for a caller.  The two maps at the heart of the package are
 
     fermat_quotient(a) = (a^(p-1) - 1) / p   in Z/pZ, for p not dividing a,
     p_derivation(a)    = (a - a^p) / p       in Z/pZ, for any integer a,
@@ -9,8 +10,6 @@ hashing are structural.  The two maps at the heart of the package are
 both of which depend only on a mod p².  They are computed with modulus-p²
 exponentiation, so no big-integer towers arise for large a.
 """
-
-from dataclasses import dataclass
 
 from .errors import DivisibleByP, InvalidResidue, ModulusMismatch, NotPrime, RangeGuard
 from .verification import VerificationReport
@@ -20,6 +19,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 VERIFIER_PRIME_GUARD = 97
+FAILURE_SAMPLES = 20  # failure lines a verifier keeps; data["failures_total"] counts all
 
 
 def is_prime(n: int) -> bool:
@@ -50,100 +50,125 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class PrimeModulus:
-    """A prime p, possibly 2, validated at construction."""
+    """A prime p, possibly 2, validated at construction; immutable."""
 
-    p: int
+    def __init__(self, p: int):
+        if not isinstance(p, int) or not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
+    def __setattr__(self, name, val):
+        raise AttributeError("PrimeModulus is immutable")
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.p == other.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     @property
     def p_squared(self) -> int:
         return self.p * self.p
 
-    def residue(self, value: int) -> "Residue":
-        return Residue(value, self)
-
-    def lifted(self, value: int) -> "LiftedResidue":
-        return LiftedResidue(value, self)
-
     def __repr__(self):
         return f"PrimeModulus({self.p})"
 
 
-class Residue:
-    """An element of Z/pZ with canonical representative in [0, p)."""
+def as_int(value, modulus: PrimeModulus, lifted: bool = False) -> int:
+    """An outside value as its int in [0, p), or in [0, p²) when `lifted`.
+
+    The one check at the API edge: accepts ints (bool included) and residues
+    of the same kind and prime, raises InvalidResidue or ModulusMismatch for
+    anything else.  Plain ints pass one class comparison and no call.
+    """
+    kind, m = (LiftedResidue, modulus.p_squared) if lifted else (Residue, modulus.p)
+    if value.__class__ is not int:
+        if isinstance(value, kind):
+            if value.modulus != modulus:
+                raise ModulusMismatch(f"residue mod {value.modulus.p} given for mod {modulus.p}")
+            value = value.value
+        elif not isinstance(value, int):
+            raise InvalidResidue(f"residue value {value!r} is neither an int nor a {kind.__name__}")
+    return value % m
+
+
+def as_ints(values, modulus: PrimeModulus) -> tuple:
+    """`as_int` over a sequence, with one type scan when every value is a plain int."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        p = modulus.p
+        return tuple([v % p for v in values])
+    return tuple([as_int(v, modulus) for v in values])
+
+
+class _Canonical:
+    """An int `value` in [0, m) and its PrimeModulus, m being p or, when lifted, p².
+
+    It equals an element of the same class and prime with the same value,
+    and the plain int `value` itself but not the other ints congruent to
+    it, so that an equal element and int hash alike.
+    """
 
     __slots__ = ("value", "modulus")
+    _lifted = False
 
     def __init__(self, value, modulus: PrimeModulus):
-        # plain ints, the hot path, pass one class comparison and no call
-        if value.__class__ is not int:
-            if isinstance(value, Residue):
-                if value.modulus != modulus:
-                    raise ModulusMismatch(f"residue mod {value.modulus.p} given for mod {modulus.p}")
-                value = value.value
-            elif not isinstance(value, int):
-                raise InvalidResidue(f"residue value {value!r} is neither an int nor a residue")
-        object.__setattr__(self, "value", value % modulus.p)
+        object.__setattr__(self, "value", as_int(value, modulus, self._lifted))
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, name, val):
-        raise AttributeError("Residue is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ModulusMismatch(
-                    f"cannot mix residues mod {self.modulus.p} and mod {other.modulus.p}"
-                )
-            return other
+    def __eq__(self, other):
         if isinstance(other, int):
-            return Residue(other, self.modulus)
-        return NotImplemented
+            return self.value == other
+        same = type(other) is type(self) and self.modulus == other.modulus
+        return same and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __int__(self):
+        return self.value
+
+
+class Residue(_Canonical):
+    """An element of Z/pZ with canonical representative in [0, p)."""
+
+    __slots__ = ()
+
+    def _int(self, other):
+        """other as its int in [0, p), or None when it is neither an int nor a Residue."""
+        return as_int(other, self.modulus) if isinstance(other, (int, Residue)) else None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.modulus)
+        v = self._int(other)
+        return NotImplemented if v is None else Residue(self.value + v, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.modulus)
+        v = self._int(other)
+        return NotImplemented if v is None else Residue(self.value - v, self.modulus)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(other.value - self.value, self.modulus)
+        v = self._int(other)
+        return NotImplemented if v is None else Residue(v - self.value, self.modulus)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.modulus)
+        v = self._int(other)
+        return NotImplemented if v is None else Residue(self.value * v, self.modulus)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        v = self._int(other)
+        return NotImplemented if v is None else self * Residue(v, self.modulus).inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        v = self._int(other)
+        return NotImplemented if v is None else v * self.inverse()
 
     def __neg__(self):
         return Residue(-self.value, self.modulus)
@@ -158,36 +183,15 @@ class Residue:
             raise ZeroDivisionError(f"0 is not invertible mod {self.modulus.p}")
         return Residue(pow(self.value, -1, self.modulus.p), self.modulus)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus.p
-        return (
-            isinstance(other, Residue)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus.p))
-
-    def __int__(self):
-        return self.value
-
     def __repr__(self):
         return f"Residue({self.value}, mod {self.modulus.p})"
 
 
-class LiftedResidue:
+class LiftedResidue(_Canonical):
     """An element of Z/p²Z with canonical representative in [0, p²)."""
 
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: PrimeModulus):
-        object.__setattr__(self, "value", value % modulus.p_squared)
-        object.__setattr__(self, "modulus", modulus)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("LiftedResidue is immutable")
+    __slots__ = ()
+    _lifted = True
 
     def __mul__(self, other):
         if isinstance(other, LiftedResidue):
@@ -204,48 +208,32 @@ class LiftedResidue:
     def is_unit(self) -> bool:
         return self.value % self.modulus.p != 0
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.modulus.p_squared
-        return (
-            isinstance(other, LiftedResidue)
-            and self.modulus == other.modulus
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus.p_squared))
-
-    def __int__(self):
-        return self.value
-
     def __repr__(self):
         return f"LiftedResidue({self.value}, mod {self.modulus.p}^2)"
 
 
-def fermat_quotient(a: int, p: PrimeModulus) -> Residue:
+def _fq(a: int, p: int, p2: int) -> int:
+    """The Fermat quotient of an int a coprime to p, as an int in [0, p)."""
+    # a^(p-1) mod p² is 1 + tp with t the Fermat quotient mod p
+    return (pow(a, p - 1, p2) - 1) // p
+
+
+def fermat_quotient(a, p: PrimeModulus) -> Residue:
     """(a^(p-1) - 1)/p mod p, the multiplicative-to-additive map on units mod p².
 
     Raises DivisibleByP when p divides a.  Depends only on a mod p².
     """
-    if isinstance(a, LiftedResidue):
-        a = a.value
-    if a % p.p == 0:
-        raise DivisibleByP(f"{a} is divisible by {p.p}")
-    p2 = p.p_squared
-    # a^(p-1) mod p² is 1 + tp with t the Fermat quotient mod p
-    lifted = pow(a % p2, p.p - 1, p2)
-    return Residue((lifted - 1) // p.p, p)
+    v = as_int(a, p, lifted=True)
+    if v % p.p == 0:
+        raise DivisibleByP(f"{int(a)} is divisible by {p.p}")
+    return Residue(_fq(v, p.p, p.p_squared), p)
 
 
-def p_derivation(a: int, p: PrimeModulus) -> Residue:
+def p_derivation(a, p: PrimeModulus) -> Residue:
     """(a - a^p)/p mod p.  Defined for every integer; depends only on a mod p²."""
-    if isinstance(a, LiftedResidue):
-        a = a.value
     p2 = p.p_squared
-    w = a % p2
-    diff = (w - pow(w, p.p, p2)) % p2  # divisible by p, by Fermat
-    return Residue(diff // p.p, p)
+    a = as_int(a, p, lifted=True)
+    return Residue((a - pow(a, p.p, p2)) % p2 // p.p, p)  # divisible by p, by Fermat
 
 
 def fq_section(r: Residue) -> LiftedResidue:
@@ -259,6 +247,19 @@ def _check_guard(p: PrimeModulus):
         raise RangeGuard(f"exhaustive verifier capped at p <= {VERIFIER_PRIME_GUARD}, got {p.p}")
 
 
+class _Failures:
+    """The first FAILURE_SAMPLES failure lines of a verifier, and the count of all."""
+
+    def __init__(self):
+        self.lines, self.total = [], 0
+
+    def add(self, items, line_of=str):
+        """Count one failure per item; keep line_of(item) while there is room."""
+        self.total += len(items)
+        room = max(FAILURE_SAMPLES - len(self.lines), 0)
+        self.lines += [line_of(x) for x in items[:room]]
+
+
 def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
     """Exhaustively check the three elementary laws of the Fermat quotient.
 
@@ -268,30 +269,27 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
       3. fq(n + p²) = fq(n).
     """
     _check_guard(p)
-    failures = []
-    checks = 0
-    units = [n for n in range(1, p.p_squared + 1) if n % p.p != 0]
-    fq = {n: fermat_quotient(n, p) for n in units}
+    q, p2 = p.p, p.p_squared
+    failures = _Failures()
+    units = [n for n in range(1, p2 + 1) if n % q != 0]
+    fq = {n: _fq(n, q, p2) for n in units}
 
-    checks += 1
-    if fq[1].value != 0:
-        failures.append(f"fq({1}) = {fq[1].value} != 0")
+    checks = 1 + len(units) * (len(units) + q + 1)  # fq(1), then per (m, n), (n, r) and n
+    if fq[1] != 0:
+        failures.add([f"fq(1) = {fq[1]} != 0"])
     for m in units:
-        for n in units:
-            checks += 1
-            if fermat_quotient(m * n, p) != fq[m] + fq[n]:
-                failures.append(f"fq({m}*{n}) != fq({m}) + fq({n})")
+        fm = fq[m]
+        bad = [n for n in units if _fq(m * n, q, p2) != (fm + fq[n]) % q]
+        failures.add(bad, lambda n: f"fq({m}*{n}) != fq({m}) + fq({n})")
     for n in units:
-        inv_n = Residue(n, p).inverse()
-        for r in range(p.p):
-            checks += 1
-            if fermat_quotient(n + r * p.p, p) != fq[n] - r * inv_n:
-                failures.append(f"fq({n} + {r}p) != fq({n}) - {r}/{n}")
-    for n in units:
-        checks += 1
-        if fermat_quotient(n + p.p_squared, p) != fq[n]:
-            failures.append(f"fq({n} + p^2) != fq({n})")
-    return VerificationReport("fq_laws", checks, tuple(failures), {"p": p.p})
+        fn, inv_n = fq[n], pow(n, -1, q)
+        bad = [r for r in range(q) if _fq(n + r * q, q, p2) != (fn - r * inv_n) % q]
+        failures.add(bad, lambda r: f"fq({n} + {r}p) != fq({n}) - {r}/{n}")
+    bad = [n for n in units if _fq(n + p2, q, p2) != fq[n]]
+    failures.add(bad, lambda n: f"fq({n} + p^2) != fq({n})")
+    return VerificationReport(
+        "fq_laws", checks, tuple(failures.lines), {"p": q, "failures_total": failures.total}
+    )
 
 
 def _multiplicative_order(g: int, p2: int, group_order: int) -> int:
@@ -310,53 +308,49 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     Finds a generator e of the (cyclic) unit group, enumerates the p
     homomorphisms determined by the possible images of e, and checks each
     one agrees pointwise with c*fq for c = image/fq(e).  Also checks that
-    fq itself is a surjective homomorphism.
+    fq itself is a surjective homomorphism.  Each map is a list over
+    [0, p²), and the pair checks run one row at a time.
     """
     _check_guard(p)
-    failures = []
-    checks = 0
-    p2 = p.p_squared
-    units = [n for n in range(1, p2) if n % p.p != 0]
-    group_order = p.p * (p.p - 1)
+    q, p2 = p.p, p.p_squared
+    failures = _Failures()
+    units = [n for n in range(1, p2) if n % q != 0]
+    group_order = q * (q - 1)
 
-    fq = {u: fermat_quotient(u, p) for u in units}
+    fq = [0] * p2
+    for u in units:
+        fq[u] = _fq(u, q, p2)
+    # per pair and once for surjectivity, then per pair and per unit for each image
+    checks = len(units) ** 2 + 1 + q * (len(units) ** 2 + len(units))
     for a in units:
-        for b in units:
-            checks += 1
-            if fq[a * b % p2] != fq[a] + fq[b]:
-                failures.append(f"fq not a homomorphism at ({a}, {b})")
-    checks += 1
-    if {fq[u].value for u in units} != set(range(p.p)):
-        failures.append("fq is not surjective onto Z/pZ")
+        fa = fq[a]
+        bad = [b for b in units if fq[a * b % p2] != (fa + fq[b]) % q]
+        failures.add(bad, lambda b: f"fq not a homomorphism at ({a}, {b})")
+    if {fq[u] for u in units} != set(range(q)):
+        failures.add(["fq is not surjective onto Z/pZ"])
 
     generator = next(
         g for g in units if _multiplicative_order(g, p2, group_order) == group_order
     )
     # discrete log table with respect to the generator
-    dlog, x = {}, 1
+    dlog, x = [0] * p2, 1
     for k in range(group_order):
         dlog[x] = k
         x = x * generator % p2
-    fq_e_inv = fq[generator].inverse()  # fq(e) generates the image, hence is a unit
+    fq_e_inv = pow(fq[generator], -1, q)  # fq(e) generates the image, hence is a unit
 
     hom_count = 0
-    for image in range(p.p):
-        hom = {u: Residue(dlog[u] * image, p) for u in units}
+    for image in range(q):
+        hom = [d * image % q for d in dlog]
         for a in units:
-            for b in units:
-                checks += 1
-                if hom[a * b % p2] != hom[a] + hom[b]:
-                    failures.append(f"candidate with e -> {image} is not a homomorphism")
-        c = Residue(image, p) * fq_e_inv
-        for u in units:
-            checks += 1
-            if hom[u] != c * fq[u]:
-                failures.append(f"candidate with e -> {image} differs from {c.value}*fq at {u}")
+            ha = hom[a]
+            bad = [b for b in units if hom[a * b % p2] != (ha + hom[b]) % q]
+            failures.add(bad, lambda b: f"candidate with e -> {image} is not a homomorphism")
+        c = image * fq_e_inv % q
+        bad = [u for u in units if hom[u] != c * fq[u] % q]
+        failures.add(bad, lambda u: f"candidate with e -> {image} differs from {c}*fq at {u}")
         hom_count += 1
 
-    return VerificationReport(
-        "hom_uniqueness",
-        checks,
-        tuple(failures),
-        {"p": p.p, "generator": generator, "homomorphisms": hom_count},
-    )
+    data = {"p": q, "generator": generator, "homomorphisms": hom_count,
+            "failures_total": failures.total}
+    return VerificationReport("hom_uniqueness", checks, tuple(failures.lines), data)

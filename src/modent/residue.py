@@ -61,8 +61,8 @@ def reduce_mod(d: RationalDist, p: PrimeModulus) -> ModDist:
     for i, q in enumerate(d.probs):
         if q.denominator % p.p == 0:
             raise DenominatorDivisibleByP(i, q, p.p)
-        values.append(Residue(q.numerator, p) / Residue(q.denominator, p))
-    return ModDist(p, values)
+        values.append(q.numerator * pow(q.denominator, -1, p.p) % p.p)
+    return ModDist._canonical(p, tuple(values))  # reduction mod p keeps the sum 1
 
 
 def residue_entropy(d: RationalDist, p: PrimeModulus) -> Residue:

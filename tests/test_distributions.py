@@ -14,6 +14,7 @@ from modent.distributions import (
     entropy,
     entropy_measure,
     entropy_of_representatives,
+    measure_entropy_of_representatives,
     pad_zeros,
     tensor,
     uniform,
@@ -97,6 +98,15 @@ def test_entropy_independent_of_representatives():
 def test_entropy_of_representatives_rejects_bad_sum():
     with pytest.raises(ValueError):
         entropy_of_representatives((1, 1), P3)
+
+
+def test_entropy_of_representatives_reads_a_generator_once():
+    # both sums must see every representative; a generator used to be exhausted
+    # by the first one, so the power sum read nothing and the result was 0
+    assert entropy_of_representatives((a for a in (1, 1, 1, 1)), P3).value == 2
+    for reps in ((1, 2, 2), (1, 1, 0, 4)):
+        expected = measure_entropy_big(reps, 3)
+        assert measure_entropy_of_representatives((a for a in reps), P3).value == expected
 
 
 def test_entropy_equals_derivation_defect():

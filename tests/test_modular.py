@@ -217,3 +217,65 @@ def test_verify_hom_uniqueness_passes():
 def test_verify_hom_uniqueness_guard():
     with pytest.raises(RangeGuard):
         verify_hom_uniqueness(PrimeModulus(103))
+
+
+def test_residue_equals_and_hashes_like_its_value_only():
+    # a residue equals the int `value` in [0, p), not the other ints congruent to it
+    assert Residue(1, P3) == 1 and 1 == Residue(1, P3)
+    assert Residue(1, P3) != 4 and Residue(2, P3) != -1
+    assert 1 in {Residue(1, P3)} and Residue(1, P3) in {1}
+    assert 4 not in {Residue(1, P3)}
+    assert hash(Residue(4, P3)) == hash(1) and hash(Residue(True, P3)) == hash(True)
+    assert Residue(1, P3) != Residue(1, P5)
+    assert LiftedResidue(26, P5) == 1 and LiftedResidue(26, P5) != 26
+    assert 1 in {LiftedResidue(26, P5)} and 26 not in {LiftedResidue(26, P5)}
+    assert hash(LiftedResidue(26, P5)) == hash(1)
+    assert LiftedResidue(1, P5) != Residue(1, P5)
+
+
+def test_non_integer_values_raise_invalid_residue_at_every_edge():
+    from modent.errors import InvalidResidue
+
+    for bad in (0.5, 2.5, "2", None, Residue(2, P3)):
+        with pytest.raises(InvalidResidue):
+            LiftedResidue(bad, P3)
+        with pytest.raises(InvalidResidue):
+            fermat_quotient(bad, P3)
+        with pytest.raises(InvalidResidue):
+            p_derivation(bad, P3)
+    with pytest.raises(ModulusMismatch):
+        fermat_quotient(LiftedResidue(2, P5), P3)
+    assert fermat_quotient(LiftedResidue(11, P3), P3) == fermat_quotient(2, P3)
+    assert p_derivation(True, P3) == p_derivation(1, P3)
+
+
+def test_verifiers_cap_failure_lines_and_count_every_failure(monkeypatch):
+    import modent.modular as modular
+
+    real = modular._fq
+    # fq + 1 breaks fq(1) = 0 and every product law, and keeps laws 2 and 3
+    monkeypatch.setattr(modular, "_fq", lambda a, p, p2: (real(a, p, p2) + 1) % p)
+    for pp in (3, 5, 11):
+        p = PrimeModulus(pp)
+        u = pp * pp - pp
+        laws = verify_fq_laws(p)
+        assert not laws.passed
+        assert len(laws.failures) == modular.FAILURE_SAMPLES == 20
+        assert laws.data["failures_total"] == 1 + u * u
+        assert laws.failures[:2] == ("fq(1) = 1 != 0", "fq(1*1) != fq(1) + fq(1)")
+        assert laws.checks == 1 + u * u + u * pp + u
+
+        homs = verify_hom_uniqueness(p)
+        assert not homs.passed and len(homs.failures) == 20
+        # every pair breaks fq's homomorphism law; the candidates stay
+        # homomorphisms, and for each image != 0 the candidate agrees with
+        # c * (fq + 1) exactly at the p - 1 units whose discrete log is 1 mod p
+        assert homs.data["failures_total"] == u * u + (pp - 1) * (u - (pp - 1))
+        assert homs.failures[0] == "fq not a homomorphism at (1, 1)"
+        assert homs.checks == u * u + 1 + pp * (u * u + u)
+
+
+def test_verifiers_report_zero_failures_total_when_they_pass():
+    for pp in (2, 5):
+        for report in (verify_fq_laws(PrimeModulus(pp)), verify_hom_uniqueness(PrimeModulus(pp))):
+            assert report.passed and report.data["failures_total"] == 0
