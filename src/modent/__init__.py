@@ -26,12 +26,15 @@ from .errors import (
     DegreeTooHigh,
     DenominatorDivisibleByP,
     DivisibleByP,
+    DuplicateLabel,
     IndexOutOfRange,
     InvalidDistribution,
     InvalidPolynomial,
     InvalidResidue,
+    InvalidSize,
     ModentError,
     ModulusMismatch,
+    NotCommonDenominator,
     NotMeasurePreserving,
     NotPrime,
     ParseError,

@@ -8,19 +8,27 @@ pins the solutions down to the line {c*H}; a finite truncation may be
 under-constrained, in which case the extra kernel directions are reported
 rather than treated as failures.
 
-The system is never stored: its rows are generated on demand and streamed
-into one reduced row echelon form (see `solve`).
+The system is never stored: its rows are generated on demand, and `solve`
+streams only a spanning subset of them into one reduced row echelon form
+(see `ChainRuleRows.needed`).
 """
 
-from itertools import product
+from itertools import islice, product
 from operator import add
 from typing import NamedTuple
 
 from .distributions import compositions, entropy_of_representatives
-from .errors import RangeGuard
+from .errors import InvalidSize, RangeGuard
 from .modular import PrimeModulus
 from .verification import VerificationReport
 
+# Spanning instances at (2, 14), the largest count of any cell that the
+# former guard, q^(N-1) <= 10^4, accepted.
+INSTANCE_GUARD = 241_668
+# The former guard on q^(N-1), kept at N <= 3: there the kernel never
+# becomes a line for p >= 3 (it has dimension q at N = 2 and 2 at N = 3),
+# so every spanning row is eliminated and the cost grows faster than their
+# count.
 UNKNOWN_GUARD = 10**4
 
 
@@ -28,6 +36,37 @@ def _distributions(p: int, n: int):
     """All of Pi_n: tuples over Z/pZ of length n summing to 1."""
     for head in product(range(p), repeat=n - 1):
         yield head + ((1 - sum(head)) % p,)
+
+
+def spanning_instances(q: int, max_arity: int) -> int:
+    """The number of chain-rule instances in the spanning subset (see above `ChainRuleRows`).
+
+    The unit row, then per composite arity K: (K-1) q^(K-1) instances whose
+    only non-unit block has arity 2, and (K-2) q^(K-3) whose only non-unit
+    block is (1, -1, 1).
+    """
+    return (
+        1
+        + sum((k - 1) * q ** (k - 1) for k in range(2, max_arity + 1))
+        + sum((k - 2) * q ** (k - 3) for k in range(3, max_arity + 1))
+    )
+
+
+# The spanning subset.  Write u = (1); the unit row is the only instance of
+# shape (1) and reads -I(u) = 0.  Two identities over Z/pZ reduce every other
+# instance to the subset, up to a multiple of I(u):
+# - telescoping: with sigma_j = pi o (gamma^1, ..., gamma^j, u, ..., u), the
+#   instance of pi o (gamma^1, ..., gamma^n) is the sum over j of the
+#   single-block instances sigma_{j-1} o (u, ..., gamma^j, ..., u);
+# - splitting: if gamma = alpha o (u, ..., beta, ..., u) with alpha in Pi_m,
+#   beta in Pi_r, m, r >= 2 and beta at slot i of alpha, the instance
+#   (pi, gamma at slot j) is R1 + R2 - pi_j R3 for R1 = (pi, alpha at j),
+#   R2 = (pi o (..., alpha, ...), beta at slot j + i - 1) and
+#   R3 = (alpha, beta at i), each with a smaller block.
+# gamma in Pi_k splits exactly when a run of 2 to k-1 consecutive entries has
+# a nonzero sum or is all zero, which leaves only (1, -1, 1) unsplittable.
+# The subset is therefore the unit row and every instance whose only non-unit
+# block has arity 2 or is (1, -1, 1).
 
 
 class ChainRuleRows:
@@ -39,6 +78,9 @@ class ChainRuleRows:
     instances: sum over K <= max_arity of (2q)^(K-1), since the instances
     with composite arity K are the compositions of K into n blocks times
     q^(n-1) choices of pi times q^(K-n) choices of the gammas.
+
+    `needed` reads only a spanning subset, which has the same row space
+    (see the note above the class).
 
     Columns are computed, not looked up: Pi_n occupies the columns from
     offset[n] on in `_distributions` order, so a distribution's column is
@@ -58,20 +100,21 @@ class ChainRuleRows:
         return sum((2 * self.q) ** (k - 1) for k in range(1, self.max_arity + 1))
 
     def __iter__(self):
-        return self.needed(None)
+        for ks in self._shapes(False):
+            yield from self._rows(ks, False)
 
-    def _digits(self, k: int, a: int, shift: int) -> list:
-        """Column contribution of the block a*gamma, for every gamma in Pi_k.
+    def _digits(self, k: int, cols: range, a: int, shift: int) -> list:
+        """Column contribution of the block a*gamma, for every gamma of Pi_k in `cols`.
 
         The block's k digits sit `shift` digits above the composite's last
         entry, which carries no weight in the column.
         """
-        key = (k, a, shift)
+        key = (cols, a, shift)
         values = self._digit_values.get(key)
         if values is None:
-            q = self.q
+            q, first = self.q, self.offset[k]
             values = []
-            for gamma in _distributions(q, k):
+            for gamma in islice(_distributions(q, k), cols.start - first, cols.stop - first):
                 v = 0
                 for y in gamma:
                     v = v * q + a * y % q
@@ -79,36 +122,54 @@ class ChainRuleRows:
             self._digit_values[key] = values
         return values
 
-    def _shapes(self):
-        """Block sizes (k_1, ..., k_n) with sum <= max_arity.
+    def _shapes(self, spanning: bool):
+        """Block sizes (k_1, ..., k_n) with sum <= max_arity; with `spanning`,
+        only (1) and the shapes with one block of 2 or 3 among blocks of 1.
 
         The kernel does not depend on the order, only the work does: n
         ascending; for n <= 2 small totals first, which enter low-arity
         relations early and keep the stored rows sparse; for n >= 3 large
         totals first, which tie the top-arity unknowns together soonest,
-        so the kernel becomes a line after fewer rows.
+        so the kernel becomes a line after fewer rows.  Within a total the
+        shapes go in tuple order.
         """
         top = self.max_arity
         for n in range(1, top + 1):
             sign = 1 if n <= 2 else -1
-            shapes = (ks for total in range(n, top + 1) for ks in compositions(total, n, lo=1))
-            yield from sorted(shapes, key=lambda ks: (sign * sum(ks), ks[::-1]))
+            if spanning:
+                shapes = [(1,)] if n == 1 else []
+                shapes += [(1,) * i + (k,) + (1,) * (n - 1 - i) for k in (2, 3) if n + k - 1 <= top for i in range(n)]
+            else:
+                shapes = [ks for total in range(n, top + 1) for ks in compositions(total, n, lo=1)]
+            yield from sorted(shapes, key=lambda ks: (sign * sum(ks), ks))
 
-    def _blocks(self, ks):
-        """Per block: (k, gamma columns, shift), shift = digits below the block."""
+    def _blocks(self, ks, spanning: bool):
+        """Per block: (k, gamma columns, shift), shift = digits below the block.
+
+        With `spanning`, a block of arity 3 is (1, -1, 1) alone, whose head
+        (1, q - 1) has base-q value 2q - 1.
+        """
         offset, shift, out = self.offset, sum(ks), []
         for k in ks:
             shift -= k
-            out.append((k, range(offset[k], offset[k + 1]), shift))
+            cols = range(offset[k], offset[k + 1])
+            if spanning and k == 3:
+                cols = cols[2 * self.q - 1 : 2 * self.q]
+            out.append((k, cols, shift))
         return out
 
-    def _rows(self, ks):
-        """One row per instance of shape ks, pi by pi."""
+    def _rows(self, ks, spanning: bool):
+        """One row per instance of shape ks, pi by pi from the last column down.
+
+        Descending pi keeps the stored rows sparse: the entry updates of
+        elimination fall from 576 k to 39 k at (19, 4) and from 658 k to
+        104 k at (5, 7) against ascending pi.
+        """
         q, offset = self.q, self.offset
-        blocks = self._blocks(ks)
+        blocks = self._blocks(ks, spanning)
         base = offset[sum(ks)]
-        for pi_col, pi in enumerate(_distributions(q, len(ks)), offset[len(ks)]):
-            choices = [zip(cols, self._digits(k, a, shift)) for a, (k, cols, shift) in zip(pi, blocks)]
+        for pi_col, pi in reversed(list(enumerate(_distributions(q, len(ks)), offset[len(ks)]))):
+            choices = [zip(cols, self._digits(k, cols, a, shift)) for a, (k, cols, shift) in zip(pi, blocks)]
             for choice in product(*choices):
                 row = {pi_col: q - 1}
                 comp = base
@@ -120,25 +181,26 @@ class ChainRuleRows:
                 yield {c: v for c, v in row.items() if v}
 
     def needed(self, form):
-        """The rows `form` must eliminate; every row when `form` is None.
+        """The spanning rows `form` must eliminate; every spanning row when `form` is None.
 
-        A shape whose instances the form's kernel vector already satisfies
-        is checked with list arithmetic and skipped as a whole; any other
-        shape is handed over row by row through `form.needs`.
+        Stops once the form's kernel is {0}.  A shape whose instances the
+        form's kernel vector already satisfies is checked with list
+        arithmetic and skipped as a whole; any other shape is handed over
+        row by row through `form.needs`.
         """
         cache = {}
-        for ks in self._shapes():
+        for ks in self._shapes(True):
             if form is not None:
                 if not form.dimension:
                     return
                 if form.vector is not None and self._shape_holds(form, ks, cache):
                     continue
-            for row in self._rows(ks):
+            for row in self._rows(ks, True):
                 if form is None or form.needs(row):
                     yield row
 
     def _shape_holds(self, form, ks, cache) -> bool:
-        """Whether the form's kernel vector satisfies every instance of shape ks.
+        """Whether the form's kernel vector satisfies every spanning instance of shape ks.
 
         Walks the blocks once over every prefix of choices (a_i, gamma^i),
         keeping per prefix the composite column so far, sum a_i vec[gamma^i],
@@ -150,15 +212,15 @@ class ChainRuleRows:
         q, vec = self.q, form.vector
 
         def block(k, cols, shift, a):
-            """Digit values and a * vec[gamma], over gamma in Pi_k."""
-            key = ("block", k, shift, a)
+            """Digit values and a * vec[gamma], over gamma in `cols`."""
+            key = ("block", cols, shift, a)
             if key not in cache:
-                cache[key] = (self._digits(k, a, shift), [a * vec[c] for c in cols])
+                cache[key] = (self._digits(k, cols, a, shift), [a * vec[c] for c in cols])
             return cache[key]
 
         def head(k, cols, shift, weight):
             """Per choice (a, gamma): digit value, a * vec[gamma], a * weight and a."""
-            key = ("head", k, shift, weight)
+            key = ("head", cols, shift, weight)
             if key not in cache:
                 digits, terms, weights, values = [], [], [], []
                 for a in range(q):
@@ -171,7 +233,7 @@ class ChainRuleRows:
             return cache[key]
 
         n = len(ks)
-        *heads, (k, cols, shift) = self._blocks(ks)
+        *heads, (k, cols, shift) = self._blocks(ks, True)
         comps, rhss, pcols, sums = [self.offset[sum(ks)]], [0], [self.offset[n]], [0]
         for i, block_i in enumerate(heads):
             digits, terms, weights, values = head(*block_i, q ** (n - 2 - i))
@@ -212,8 +274,11 @@ class SolutionSpace(NamedTuple):
     basis[i] is 1 at free_columns[i] and 0 at every other free column, so
     membership of a vector reduces to reading its free coordinates.
     `rows_eliminated` rows went through elimination and `rows_checked`
-    rows were shown by evaluation to hold on the kernel already; rows
-    left unread once the kernel was {0} count in neither.
+    rows were shown by evaluation to hold on the kernel already.
+    `rows_implied` counts the chain-rule instances never read: those
+    outside the spanning subset, whose rows are combinations of the rows
+    read, and any left once the kernel was {0}.  A hand-built system has
+    none; its rows left unread once the kernel was {0} count nowhere.
     """
 
     p: PrimeModulus
@@ -222,6 +287,7 @@ class SolutionSpace(NamedTuple):
     free_columns: tuple
     rows_eliminated: int = 0
     rows_checked: int = 0
+    rows_implied: int = 0
 
     @property
     def dimension(self) -> int:
@@ -229,8 +295,8 @@ class SolutionSpace(NamedTuple):
 
     @property
     def rows(self) -> int:
-        """Rows read from the system: eliminated plus checked."""
-        return self.rows_eliminated + self.rows_checked
+        """Rows accounted for: eliminated plus checked plus implied."""
+        return self.rows_eliminated + self.rows_checked + self.rows_implied
 
 
 def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) -> ConstraintSystem:
@@ -238,15 +304,19 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
 
     Instances run over n >= 1, block sizes k_i >= 1 with sum k_i <= max_arity,
     pi in Pi_n and gamma^i in Pi_{k_i}.  The row for one instance is
-    I(composite) - I(pi) - sum_i pi_i I(gamma^i) = 0.
+    I(composite) - I(pi) - sum_i pi_i I(gamma^i) = 0.  Unless overridden,
+    a guard bounds the spanning instances, which `solve` reads.
     """
     if max_arity < 1:
-        raise ValueError("max_arity must be at least 1")
+        raise InvalidSize("max_arity must be at least 1")
     q = p.p
-    if not override_guard and q ** (max_arity - 1) > UNKNOWN_GUARD:
-        raise RangeGuard(
-            f"{q}^{max_arity - 1} unknowns of top arity exceeds {UNKNOWN_GUARD}"
-        )
+    if not override_guard:
+        if max_arity <= 3 and q ** (max_arity - 1) > UNKNOWN_GUARD:
+            raise RangeGuard(f"{q}^{max_arity - 1} unknowns of top arity exceeds {UNKNOWN_GUARD}")
+        # q^(N-1) is at most the spanning count, so a huge max_arity is
+        # refused before its terms are summed
+        if q ** (max_arity - 1) > INSTANCE_GUARD or spanning_instances(q, max_arity) > INSTANCE_GUARD:
+            raise RangeGuard(f"p = {q}, max_arity = {max_arity} has over {INSTANCE_GUARD} spanning instances")
     unknowns = tuple(u for n in range(1, max_arity + 1) for u in _distributions(q, n))
     return ConstraintSystem(p, max_arity, unknowns, ChainRuleRows(q, max_arity))
 
@@ -350,10 +420,11 @@ class _ReducedForm:
 def solve(system: ConstraintSystem) -> SolutionSpace:
     """Kernel of the system over Z/pZ, by exact streaming Gaussian elimination.
 
-    Rows go one at a time into a reduced echelon form.  Once the kernel is
-    a line, a row is evaluated on its vector instead: a row the vector
-    satisfies lies in the row space already, and one it violates is
-    eliminated and leaves the kernel {0}, after which no row is read.
+    Rows go one at a time into a reduced echelon form; of a `ChainRuleRows`
+    only the spanning subset is read, which has the same row space.  Once
+    the kernel is a line, a row is evaluated on its vector instead: a row
+    the vector satisfies lies in the row space already, and one it violates
+    is eliminated and leaves the kernel {0}, after which no row is read.
     The kernel is that of the whole system, by the same reduced form as
     eliminating every row.
     """
@@ -366,6 +437,7 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
         needed = ({c: v % q for c, v in row.items() if v % q} for row in rows if form.needs(row))
     for row in needed:
         form.add(row)
+    implied = len(rows) - form.eliminated - form.checked if isinstance(rows, ChainRuleRows) else 0
     free_cols, basis = form.kernel()
     return SolutionSpace(
         system.p,
@@ -374,6 +446,7 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
         tuple(free_cols),
         form.eliminated,
         form.checked,
+        implied,
     )
 
 

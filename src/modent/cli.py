@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import characterization, distributions, finprob, polynomials, residue
-from .errors import ModentError, ParseError
+from .errors import InvalidPolynomial, ModentError, ParseError
 from .modular import PrimeModulus, fermat_quotient, p_derivation, verify_fq_laws, verify_hom_uniqueness
 
 CLI_GROUPING_CAP = 4  # sum of block sizes used by the `identities` command
@@ -39,17 +39,28 @@ def parse_mod_dist(text: str) -> distributions.ModDist:
     return distributions.ModDist(*parse_mod_values(text))
 
 
+def _fraction(tok: str) -> Fraction:
+    """One fraction token; a decimal exponent beyond the int string-digit limit is refused.
+
+    Fraction expands `1e-99999999` into a 10^8-digit integer, which takes
+    many minutes, so the exponent is read before the number is built.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    _, e, exponent = tok.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ParseError(f"cannot parse fraction {tok!r}: exponent beyond {limit}")
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse fraction {tok!r}: {exc}") from None
+
+
 def parse_rational_dist(tokens) -> residue.RationalDist:
     """Parse whitespace-separated `num/den` fractions into a rational distribution."""
     if isinstance(tokens, str):
         tokens = tokens.split()
-    fracs = []
-    for tok in tokens:
-        try:
-            fracs.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"cannot parse fraction {tok!r}: {exc}") from None
-    return residue.RationalDist(fracs)
+    return residue.RationalDist([_fraction(tok) for tok in tokens])
 
 
 def parse_dist(text: str):
@@ -206,6 +217,8 @@ def _cmd_identities(args):
 def _cmd_interpolate(args):
     p = PrimeModulus(args.p)
     n = args.nvars
+    if n < 0:
+        raise InvalidPolynomial("nvars must be nonnegative")
     expected = p.p**n
     if len(args.values) != expected:
         raise ParseError(f"need {expected} values for p={p.p}, nvars={n}, got {len(args.values)}")
@@ -235,6 +248,7 @@ def _cmd_characterize(args):
         "rows": solution.rows,
         "rows_eliminated": solution.rows_eliminated,
         "rows_checked": solution.rows_checked,
+        "rows_implied": solution.rows_implied,
         "kernel_dim": report.data["dimension"],
         "contains_entropy": report.data["contains_entropy"],
         "kernel_is_entropy_line": report.data["kernel_is_entropy_line"],

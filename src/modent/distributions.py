@@ -15,6 +15,7 @@ from .errors import (
     DivisibleByP,
     IndexOutOfRange,
     InvalidDistribution,
+    InvalidSize,
     ModulusMismatch,
     SumNotOne,
 )
@@ -192,7 +193,7 @@ def tensor(a: ModDist, b: ModDist) -> ModDist:
 def uniform(n: int, p: PrimeModulus) -> ModDist:
     """The uniform distribution u_n = (1/n, ..., 1/n); requires p not dividing n."""
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise InvalidSize("n must be positive")
     if n % p.p == 0:
         raise DivisibleByP(f"u_{n} does not exist mod {p.p}")
     return ModDist._canonical(p, (pow(n, -1, p.p),) * n)
@@ -203,6 +204,6 @@ def pad_zeros(d: ModDist, position: int, count: int) -> ModDist:
     if not 0 <= position <= len(d):
         raise IndexOutOfRange(f"position {position} not in [0, {len(d)}]")
     if count < 0:
-        raise ValueError("count must be nonnegative")
+        raise InvalidSize("count must be nonnegative")
     v = d.values()
     return ModDist._canonical(d.p, v[:position] + (0,) * count + v[position:])

@@ -30,8 +30,22 @@ class InvalidResidue(ModentError, TypeError):
     """A residue was given a value that is neither an int nor a residue."""
 
 
-class ArityMismatch(ModentError):
-    """Tuple lengths do not line up (composition, evaluation points, ...)."""
+class ArityMismatch(ModentError, ValueError):
+    """Tuple lengths do not line up (composition, evaluation points, labels
+    and probabilities, weights and maps, block sizes and outer slots, ...)."""
+
+
+class InvalidSize(ModentError, ValueError):
+    """A size or count is out of range: a truncation arity below 1, a
+    uniform distribution on no points, a negative count or block size."""
+
+
+class DuplicateLabel(ModentError, ValueError):
+    """A finite probability space was given the same label twice."""
+
+
+class NotCommonDenominator(ModentError, ValueError):
+    """An integer does not clear the denominator of every entry."""
 
 
 class ModulusMismatch(ModentError):

@@ -9,7 +9,9 @@ convex combination of maps.
 
 from .distributions import ModDist, _measure_entropy
 from .errors import (
+    ArityMismatch,
     CompositionMismatch,
+    DuplicateLabel,
     ModulusMismatch,
     NotMeasurePreserving,
     ParseError,
@@ -29,9 +31,9 @@ class FinProbSpace:
         labels = tuple(labels)
         index = {y: i for i, y in enumerate(labels)}
         if len(index) != len(labels):
-            raise ValueError("labels must be distinct")
+            raise DuplicateLabel("labels must be distinct")
         if len(labels) != len(dist):
-            raise ValueError(f"{len(labels)} labels but {len(dist)} probabilities")
+            raise ArityMismatch(f"{len(labels)} labels but {len(dist)} probabilities")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_index", index)
@@ -212,7 +214,7 @@ def convex_combine_maps(weights: ModDist, maps) -> MPMap:
     """
     maps = tuple(maps)
     if len(maps) != len(weights):
-        raise ValueError(f"{len(weights)} weights for {len(maps)} maps")
+        raise ArityMismatch(f"{len(weights)} weights for {len(maps)} maps")
     for f in maps:
         if f.domain.p != weights.p:
             raise ModulusMismatch("all maps must share p with the weights")

@@ -21,6 +21,7 @@ from .errors import (
     DegreeTooHigh,
     IndexOutOfRange,
     InvalidPolynomial,
+    InvalidSize,
     ModulusMismatch,
     RangeGuard,
 )
@@ -185,7 +186,7 @@ class MultiPoly:
 
     def __pow__(self, exponent: int):
         if exponent < 0:
-            raise ValueError("negative power of a polynomial")
+            raise InvalidPolynomial("negative power of a polynomial")
         result = MultiPoly.constant(self.p, self.nvars, 1)
         base = self
         e = exponent
@@ -319,7 +320,7 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     vectors with all r_i < p summing to p.  For n <= 1 this is zero.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidPolynomial("n must be nonnegative")
     q = p.p
     inv_factorial = [pow(factorial(r), -1, q) for r in range(q)]
     terms = {}
@@ -357,7 +358,7 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
     delta(x) = prod (1 - x_i^{p-1}), organized as one pass per axis.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidPolynomial("nvars must be nonnegative")
     q = p.p
     if q**n > INTERPOLATE_POINT_GUARD:
         raise RangeGuard(f"{q}^{n} points exceeds the guard of {INTERPOLATE_POINT_GUARD}")
@@ -414,8 +415,10 @@ def _report(name: str, lhs: MultiPoly, rhs: MultiPoly, data=None) -> Verificatio
 def _blocks(n: int, ks, p: PrimeModulus, start: int):
     """Validate a block shape; return it and each block's variable indices from `start`."""
     ks = tuple(ks)
-    if len(ks) != n or any(k < 0 for k in ks):
-        raise ValueError("need one nonnegative block size per outer slot")
+    if len(ks) != n:
+        raise ArityMismatch(f"{len(ks)} block sizes for {n} outer slots")
+    if any(k < 0 for k in ks):
+        raise InvalidSize(f"block sizes {ks} must be nonnegative")
     _check_identity_guard(p)
     if sum(ks) > GROUPING_SIZE_GUARD:
         raise RangeGuard(f"total of {sum(ks)} variables exceeds the guard of {GROUPING_SIZE_GUARD}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .distributions import ModDist, entropy
-from .errors import DenominatorDivisibleByP, InvalidDistribution, SumNotOne
+from .errors import DenominatorDivisibleByP, InvalidDistribution, NotCommonDenominator, SumNotOne
 from .modular import PrimeModulus, Residue
 from .verification import VerificationReport
 
@@ -76,7 +76,7 @@ def scaled_numerators(d: RationalDist, t: int) -> tuple:
     for q in d.probs:
         r = q * t
         if r.denominator != 1:
-            raise ValueError(f"{t} is not a common denominator for {q}")
+            raise NotCommonDenominator(f"{t} is not a common denominator for {q}")
         nums.append(int(r))
     return tuple(nums)
 

@@ -1,11 +1,15 @@
 """Tests for the truncated chain-rule constraint system and its kernel."""
 
 import random
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from modent.characterization import (
+    INSTANCE_GUARD,
+    UNKNOWN_GUARD,
     ConstraintSystem,
     _ReducedForm,
     build_system,
@@ -13,6 +17,7 @@ from modent.characterization import (
     entropy_vector,
     in_span,
     solve,
+    spanning_instances,
 )
 from modent.distributions import ModDist, compose, compositions
 from modent.errors import RangeGuard
@@ -182,9 +187,9 @@ def test_kernel_dimension_fixtures():
 
 
 def test_minimal_truncation_for_unique_kernel_fixtures():
-    # measured minimal max-arity at which the kernel collapses to the
+    # measured minimal max-arity N*(p) at which the kernel collapses to the
     # entropy line, per prime; recorded values, not claimed as general facts
-    expected = {2: 3, 3: 4, 5: 4, 7: 4}
+    expected = {2: 3, 3: 4, 5: 4, 7: 4, 11: 4, 13: 4}
     for pp, minimal in expected.items():
         p = PrimeModulus(pp)
         below = solve(build_system(p, minimal - 1))
@@ -223,11 +228,34 @@ def test_guard_and_override(monkeypatch):
 
     with pytest.raises(RangeGuard):
         build_system(PrimeModulus(11), 6)
-    monkeypatch.setattr(ch, "UNKNOWN_GUARD", 2)
+    monkeypatch.setattr(ch, "INSTANCE_GUARD", 2)
     with pytest.raises(RangeGuard):
         build_system(P2, 3)
     system = build_system(P2, 3, override_guard=True)
     assert len(system.unknowns) == 7
+
+
+def test_guard_bounds_the_spanning_instances():
+    # the bound is the largest spanning count of any cell that q^(N-1) <= 10^4
+    # accepted, so none of those is refused
+    primes = [q for q in range(2, 10**4) if all(q % d for d in range(2, int(q**0.5) + 1))]
+    accepted = [(q, n) for q in primes for n in range(1, 15) if q ** (n - 1) <= 10**4]
+    assert max(spanning_instances(q, n) for q, n in accepted) == INSTANCE_GUARD == spanning_instances(2, 14)
+    assert len(build_system(P2, 14).unknowns) == 2**14 - 1
+    # at N <= 3 the former bound q^(N-1) <= UNKNOWN_GUARD stays
+    build_system(PrimeModulus(97), 3)
+    for q, n in ((2, 15), (3, 10), (11, 6), (5, 8), (101, 3), (UNKNOWN_GUARD + 7, 2)):
+        with pytest.raises(RangeGuard):
+            build_system(PrimeModulus(q), n)
+    # cells beyond q^(N-1) <= 10^4 with few spanning instances are accepted
+    for q, n in ((5, 7), (13, 5), (7, 6), (37, 4)):
+        assert spanning_instances(q, n) <= INSTANCE_GUARD
+        build_system(PrimeModulus(q), n)
+    # a huge max_arity is refused without summing its terms
+    start = time.perf_counter()
+    with pytest.raises(RangeGuard):
+        build_system(P3, 10**5)
+    assert time.perf_counter() - start < 1
 
 
 # --- the streaming solver against eliminating every deduplicated row ------
@@ -344,13 +372,21 @@ def test_solution_counts_the_rows_it_read():
     for p, n in ((P2, 6), (P3, 5), (P5, 4), (P2, 2)):
         system = build_system(p, n)
         solution = solve(system)
-        # H is in every kernel, so no row leaves the kernel {0} early
-        assert solution.rows == solution.rows_eliminated + solution.rows_checked == len(system.rows)
+        # H is in every kernel, so no spanning row leaves the kernel {0}
+        # early: every spanning instance is read, every other one implied
+        read = solution.rows_eliminated + solution.rows_checked
+        assert read == spanning_instances(p.p, n) == sum(1 for _ in system.rows.needed(None))
+        assert solution.rows == read + solution.rows_implied == len(system.rows)
         assert solution.dimension >= 1
     redundant = solve(build_system(P2, 8))
-    assert redundant.rows_checked > 4 * redundant.rows_eliminated
+    assert redundant.rows_implied > 10 * (redundant.rows_eliminated + redundant.rows_checked)
+    assert redundant.rows_checked > redundant.rows_eliminated / 2
     underdetermined = solve(build_system(P3, 3))
     assert underdetermined.rows_checked == 0  # the kernel never becomes a line
+    assert underdetermined.rows_eliminated == spanning_instances(3, 3)
+    # a hand-built system implies nothing
+    hand = solve(ConstraintSystem(P3, 2, ((1,), (1, 0), (0, 1)), ({0: 1}, {1: 1})))
+    assert (hand.rows_eliminated, hand.rows_checked, hand.rows_implied, hand.rows) == (2, 0, 0, 2)
 
 
 def test_row_after_the_kernel_is_a_line_is_checked_and_can_break_it():
@@ -372,12 +408,15 @@ def test_row_after_the_kernel_is_a_line_is_checked_and_can_break_it():
 
 def test_kernel_line_checks_yield_exactly_the_violated_rows():
     # a form whose kernel is a line that is not the entropy line: the stream
-    # must hand over exactly the chain-rule rows that the line violates,
-    # whether a whole shape is checked at once or row by row
+    # must hand over exactly the spanning rows that the line violates,
+    # whether a whole shape is checked at once or row by row; the line
+    # violates some spanning row exactly when it violates some instance
     rng = random.Random(20190316)
     for p, n in ((P2, 5), (P3, 4), (P5, 3)):
         q = p.p
         system = build_system(p, n)
+        spanning = list(system.rows.needed(None))
+        assert Counter(map(frozen, spanning)) == Counter(map(frozen, spanning_rows(q, n)))
         count = len(system.unknowns)
         h = entropy_vector(system.unknowns, p)
         pinned = (0,) * (count - 1) + (1,)
@@ -392,6 +431,143 @@ def test_kernel_line_checks_yield_exactly_the_violated_rows():
                 if i != j:
                     form.add({i: 1, j: -line[i] % q} if line[i] else {i: 1})
             assert form.dimension == 1 and list(form.vector) == line
-            violated = [row for row in system.rows if sum(c * line[i] for i, c in row.items()) % q]
+            violated = [row for row in spanning if sum(c * line[i] for i, c in row.items()) % q]
             assert list(system.rows.needed(form)) == violated
-            assert form.checked == len(system.rows) - len(violated)
+            assert form.checked == len(spanning) - len(violated)
+            violates_any = any(sum(c * line[i] for i, c in row.items()) % q for row in system.rows)
+            assert bool(violated) == violates_any
+
+
+# --- the spanning subset: both row identities, checked without elimination --
+
+
+def distributions_of(q, k):
+    """Pi_k over Z/qZ, in the solver's column order."""
+    return [h + ((1 - sum(h)) % q,) for h in product(range(q), repeat=k - 1)]
+
+
+def unknown_index(q, max_arity):
+    """Column of every unknown, as in build_system."""
+    return {u: i for i, u in enumerate(u for k in range(1, max_arity + 1) for u in distributions_of(q, k))}
+
+
+def instance_row(q, index, pi, gammas):
+    """The row I(pi o gammas) - I(pi) - sum_i pi_i I(gamma^i), by tuple lookup."""
+    composite = tuple(a * y % q for a, g in zip(pi, gammas) for y in g)
+    row = Counter({index[composite]: 1})
+    row[index[pi]] -= 1
+    for a, g in zip(pi, gammas):
+        row[index[g]] -= a
+    return {c: v % q for c, v in row.items() if v % q}
+
+
+def single(pi, j, gamma):
+    """The blocks of pi o (u, ..., gamma at slot j, ..., u)."""
+    return tuple(gamma if i == j else (1,) for i in range(len(pi)))
+
+
+def frozen(row):
+    return frozenset(row.items())
+
+
+def spanning_rows(q, max_arity):
+    """The unit row and every instance whose only non-unit block has arity 2 or is (1, -1, 1)."""
+    index = unknown_index(q, max_arity)
+    rows = [instance_row(q, index, (1,), ((1,),))]
+    for n in range(1, max_arity):
+        for pi in distributions_of(q, n):
+            for gamma in distributions_of(q, 2) + [(1, q - 1, 1)]:
+                if n + len(gamma) - 1 <= max_arity:
+                    rows += [instance_row(q, index, pi, single(pi, j, gamma)) for j in range(n)]
+    return rows
+
+
+def split(q, gamma):
+    """(alpha, beta, i) with gamma = alpha o (u, ..., beta at slot i, ..., u) and
+    alpha, beta of arity >= 2, from the first run of 2 to k-1 entries whose sum
+    is nonzero or which is all zero; None when there is no such run."""
+    k = len(gamma)
+    for r in range(2, k):
+        for i in range(k - r + 1):
+            run = gamma[i : i + r]
+            s = sum(run) % q
+            if s or not any(run):
+                beta = tuple(y * pow(s, -1, q) % q for y in run) if s else (1,) + (0,) * (r - 1)
+                return gamma[:i] + (s,) + gamma[i + r :], beta, i
+    return None
+
+
+def spanning_combination(q, pi, gammas):
+    """Coefficients c_t of spanning instances t with row(pi o gammas) = sum c_t row(t)
+    up to a multiple of I(u): telescoping into single-block instances, then
+    splitting each block until it has arity 2 or is (1, -1, 1)."""
+    combo = Counter()
+
+    def add_single(coeff, pi, j, gamma):
+        if len(gamma) == 1:
+            return  # pi o (u, ..., u) reads -I(u)
+        parts = None if gamma == (1, q - 1, 1) else split(q, gamma)
+        if parts is None:
+            combo[(pi, single(pi, j, gamma))] += coeff
+            return
+        alpha, beta, i = parts
+        add_single(coeff, pi, j, alpha)  # R1
+        add_single(coeff, pi[:j] + tuple(pi[j] * a % q for a in alpha) + pi[j + 1 :], j + i, beta)  # R2
+        add_single(-coeff * pi[j], alpha, i, beta)  # -pi_j R3
+
+    sigma, slot = pi, 0
+    for a, gamma in zip(pi, gammas):
+        add_single(1, sigma, slot, gamma)
+        sigma = sigma[:slot] + tuple(a * y % q for y in gamma) + sigma[slot + 1 :]
+        slot += len(gamma)
+    return combo
+
+
+@pytest.mark.parametrize("q,max_arity", [(2, 6), (3, 5), (5, 4)])
+def test_every_instance_is_a_combination_of_spanning_rows(q, max_arity):
+    rng = random.Random(1903 + 61 * q)
+    index = unknown_index(q, max_arity)
+    unit_row = instance_row(q, index, (1,), ((1,),))
+    assert unit_row == {index[(1,)]: q - 1}
+    for total in range(1, max_arity + 1):
+        for n in range(1, total + 1):
+            for ks in compositions(total, n, lo=1):
+                for _ in range(4):
+                    pi = rng.choice(distributions_of(q, n))
+                    gammas = tuple(rng.choice(distributions_of(q, k)) for k in ks)
+                    rebuilt = Counter()
+                    for (t_pi, t_gammas), coeff in spanning_combination(q, pi, gammas).items():
+                        big = [g for g in t_gammas if len(g) > 1]
+                        assert len(big) == 1 and (len(big[0]) == 2 or big[0] == (1, q - 1, 1))
+                        assert sum(map(len, t_gammas)) <= max_arity
+                        for c, v in instance_row(q, index, t_pi, t_gammas).items():
+                            rebuilt[c] += coeff * v
+                    rebuilt = {c: v % q for c, v in rebuilt.items() if v % q}
+                    row = instance_row(q, index, pi, gammas)
+                    u = index[(1,)]
+                    c = (row.get(u, 0) - rebuilt.get(u, 0)) * pow(q - 1, -1, q) % q
+                    rebuilt[u] = (rebuilt.get(u, 0) + c * (q - 1)) % q
+                    assert {col: v for col, v in rebuilt.items() if v} == row, (pi, gammas)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_only_one_minus_one_one_does_not_split(q):
+    # gamma splits when gamma = alpha o (u, ..., beta, ..., u) with alpha and
+    # beta of arity >= 2, which needs arity >= 3; enumerated by brute force
+    for k in range(3, 7):
+        composites = set()
+        for m in range(2, k):
+            for alpha in distributions_of(q, m):
+                for beta in distributions_of(q, k - m + 1):
+                    for i in range(m):
+                        composites.add(alpha[:i] + tuple(alpha[i] * b % q for b in beta) + alpha[i + 1 :])
+        pi_k = distributions_of(q, k)
+        unsplit = [g for g in pi_k if g not in composites]
+        assert unsplit == ([(1, q - 1, 1)] if k == 3 else []), (q, k)
+        # the run criterion finds a valid split of every other gamma
+        for g in pi_k:
+            parts = split(q, g)
+            assert (parts is None) == (g in unsplit)
+            if parts:
+                alpha, beta, i = parts
+                assert alpha[:i] + tuple(alpha[i] * b % q for b in beta) + alpha[i + 1 :] == g

@@ -1,7 +1,11 @@
 """Tests for the command-line interface: output contract and round-trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -151,10 +155,29 @@ def test_sum_not_one_diagnostics():
         cli.parse_mod_dist("banana")
     with pytest.raises(ParseError):
         cli.parse_rational_dist("1/x")
-    with pytest.raises(ParseError):
-        cli.parse_mod_dist("4:1,1,1,1")  # 4 is not prime
-    with pytest.raises(ParseError):
-        cli.parse_mod_dist(f"{2**89 - 1}:1")  # beyond the primality bound
+
+
+def test_huge_decimal_exponent_is_refused_before_the_number_is_built():
+    # Fraction("1e-99999999") would build a 10^8-digit integer for minutes, so
+    # the refused tokens run in a subprocess whose timeout keeps a regression
+    # from hanging the suite
+    code = (
+        "from modent import cli\n"
+        "for tok in ('1e-99999999', '1E+99999999', '2e-4301', '1e0000000000000000000099_999_999'):\n"
+        "    try:\n"
+        "        cli.parse_rational_dist(tok)\n"
+        "    except cli.ParseError as exc:\n"
+        "        assert 'exponent' in str(exc), exc\n"
+        "    else:\n"
+        "        raise SystemExit(tok)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    # an exponent at the limit still parses
+    dist = cli.parse_rational_dist(["1e-4300", "0." + "9" * 4300])
+    assert dist.probs[0] == Fraction(1, 10**4300)
 
 
 def test_usage_errors_exit_2(capsys):
@@ -242,10 +265,19 @@ def test_characterize_command(capsys):
     assert out["contains_entropy"] == "true"
     assert out["kernel_is_entropy_line"] == "true"
     assert out["unknowns"] == "63"
-    # every one of the 1365 instances is read: eliminated or checked on the kernel line
+    # every one of the 1365 instances is accounted for: the 308 spanning ones
+    # (1 + sum over K <= 6 of (K-1) 2^(K-1) + (K-2) 2^(K-3)) are read,
+    # eliminated or checked on the kernel line, and the rest are implied
     assert out["rows"] == "1365"
-    assert int(out["rows_eliminated"]) + int(out["rows_checked"]) == 1365
+    assert int(out["rows_eliminated"]) + int(out["rows_checked"]) == 308
+    assert int(out["rows_implied"]) == 1365 - 308
     assert int(out["rows_checked"]) > 0
+
+
+def test_interpolate_rejects_negative_nvars(capsys):
+    code, out, err = run_lines(capsys, "interpolate", "--p", "3", "--nvars", "-1", "1")
+    assert code == 2 and out == {}
+    assert err.strip() == "error: nvars must be nonnegative"
 
 
 def test_uniform_command(capsys):

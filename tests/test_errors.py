@@ -1,0 +1,62 @@
+"""Every library check on sizes, counts and pairings raises a typed error.
+
+Each error is a `ModentError` and, as the bare `ValueError` it replaced, a
+`ValueError`, so older `except ValueError` clauses still catch it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from modent import cli
+from modent.characterization import build_system
+from modent.distributions import ModDist, pad_zeros, uniform
+from modent.errors import (
+    ArityMismatch,
+    DuplicateLabel,
+    InvalidPolynomial,
+    InvalidSize,
+    ModentError,
+    NotCommonDenominator,
+)
+from modent.finprob import FinProbSpace, convex_combine_maps, make_map
+from modent.modular import PrimeModulus
+from modent.polynomials import MultiPoly, check_grouping, check_poly_chain_rule, entropy_poly, interpolate
+from modent.residue import RationalDist, scaled_numerators
+
+P3 = PrimeModulus(3)
+
+
+def _identity_map():
+    space = FinProbSpace(("a",), ModDist(P3, (1,)))
+    return make_map(space, space, {"a": "a"})
+
+
+CASES = {
+    "build_system": (InvalidSize, lambda: build_system(P3, 0)),
+    "uniform": (InvalidSize, lambda: uniform(0, P3)),
+    "pad_zeros": (InvalidSize, lambda: pad_zeros(ModDist(P3, (1,)), 0, -1)),
+    "FinProbSpace labels": (DuplicateLabel, lambda: FinProbSpace(("a", "a"), ModDist(P3, (2, 2)))),
+    "FinProbSpace count": (ArityMismatch, lambda: FinProbSpace(("a",), ModDist(P3, (2, 2)))),
+    "convex_combine_maps": (ArityMismatch, lambda: convex_combine_maps(ModDist(P3, (1,)), [_identity_map()] * 2)),
+    "scaled_numerators": (NotCommonDenominator, lambda: scaled_numerators(RationalDist([Fraction(1, 3)] * 3), 2)),
+    "MultiPoly.__pow__": (InvalidPolynomial, lambda: MultiPoly.variable(P3, 1, 0) ** -1),
+    "entropy_poly": (InvalidPolynomial, lambda: entropy_poly(-1, P3)),
+    "interpolate": (InvalidPolynomial, lambda: interpolate(lambda pt: 0, P3, -1)),
+    "_blocks count": (ArityMismatch, lambda: check_grouping(2, (1,), P3)),
+    "_blocks size": (InvalidSize, lambda: check_poly_chain_rule(2, (1, -1), P3)),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_size_and_pairing_errors_are_typed_value_errors(name):
+    error, call = CASES[name]
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, ModentError) and isinstance(info.value, ValueError)
+
+
+def test_cli_reports_typed_errors_with_exit_2(capsys):
+    for argv in (["uniform", "0", "--p", "3"], ["characterize", "--p", "3", "--max-arity", "0"]):
+        assert cli.run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
