@@ -43,9 +43,11 @@ def _fraction(tok: str) -> Fraction:
     """One fraction token; a decimal exponent beyond the int string-digit limit is refused.
 
     Fraction expands `1e-99999999` into a 10^8-digit integer, which takes
-    many minutes, so the exponent is read before the number is built.
+    many minutes, so the exponent is read before the number is built.  The
+    limit is 4300, CPython's default, where the interpreter has no limit
+    or no `sys.get_int_max_str_digits` (before 3.10.7).
     """
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     _, e, exponent = tok.lower().partition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):

@@ -155,6 +155,10 @@ def test_sum_not_one_diagnostics():
         cli.parse_mod_dist("banana")
     with pytest.raises(ParseError):
         cli.parse_rational_dist("1/x")
+    with pytest.raises(ParseError):
+        cli.parse_mod_dist("4:1,1,1,1")  # 4 is not prime
+    with pytest.raises(ParseError):
+        cli.parse_mod_dist(f"{2**89 - 1}:1")  # beyond the primality bound
 
 
 def test_huge_decimal_exponent_is_refused_before_the_number_is_built():
