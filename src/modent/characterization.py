@@ -10,11 +10,10 @@ rather than treated as failures.
 
 The system is never stored: its rows are generated on demand, and `solve`
 streams only a spanning subset of them into one reduced row echelon form
-(see `ChainRuleRows.needed`).
+(see `ChainRuleRows.spanning`).
 """
 
-from itertools import islice, product
-from operator import add
+from itertools import product
 from typing import NamedTuple
 
 from .distributions import compositions, entropy_of_representatives
@@ -79,8 +78,8 @@ class ChainRuleRows:
     with composite arity K are the compositions of K into n blocks times
     q^(n-1) choices of pi times q^(K-n) choices of the gammas.
 
-    `needed` reads only a spanning subset, which has the same row space
-    (see the note above the class).
+    `spanning` yields only the spanning subset, which has the same row
+    space (see the note above the class).
 
     Columns are computed, not looked up: Pi_n occupies the columns from
     offset[n] on in `_distributions` order, so a distribution's column is
@@ -100,76 +99,41 @@ class ChainRuleRows:
         return sum((2 * self.q) ** (k - 1) for k in range(1, self.max_arity + 1))
 
     def __iter__(self):
-        for ks in self._shapes(False):
-            yield from self._rows(ks, False)
+        top = self.max_arity
+        for n in range(1, top + 1):
+            for total in range(n, top + 1):
+                for ks in compositions(total, n, lo=1):
+                    yield from self._rows(ks)
 
-    def _digits(self, k: int, cols: range, a: int, shift: int) -> list:
-        """Column contribution of the block a*gamma, for every gamma of Pi_k in `cols`.
+    def _digits(self, k: int, a: int, shift: int) -> list:
+        """Column contribution of the block a*gamma, for every gamma of Pi_k.
 
         The block's k digits sit `shift` digits above the composite's last
         entry, which carries no weight in the column.
         """
-        key = (cols, a, shift)
+        key = (k, a, shift)
         values = self._digit_values.get(key)
         if values is None:
-            q, first = self.q, self.offset[k]
+            q = self.q
             values = []
-            for gamma in islice(_distributions(q, k), cols.start - first, cols.stop - first):
+            for gamma in _distributions(q, k):
                 v = 0
                 for y in gamma:
                     v = v * q + a * y % q
-                values.append(v * q ** (shift - 1) if shift else v // q)
+                values.append(v * q**shift // q)
             self._digit_values[key] = values
         return values
 
-    def _shapes(self, spanning: bool):
-        """Block sizes (k_1, ..., k_n) with sum <= max_arity; with `spanning`,
-        only (1) and the shapes with one block of 2 or 3 among blocks of 1.
-
-        The kernel does not depend on the order, only the work does: n
-        ascending; for n <= 2 small totals first, which enter low-arity
-        relations early and keep the stored rows sparse; for n >= 3 large
-        totals first, which tie the top-arity unknowns together soonest,
-        so the kernel becomes a line after fewer rows.  Within a total the
-        shapes go in tuple order.
-        """
-        top = self.max_arity
-        for n in range(1, top + 1):
-            sign = 1 if n <= 2 else -1
-            if spanning:
-                shapes = [(1,)] if n == 1 else []
-                shapes += [(1,) * i + (k,) + (1,) * (n - 1 - i) for k in (2, 3) if n + k - 1 <= top for i in range(n)]
-            else:
-                shapes = [ks for total in range(n, top + 1) for ks in compositions(total, n, lo=1)]
-            yield from sorted(shapes, key=lambda ks: (sign * sum(ks), ks))
-
-    def _blocks(self, ks, spanning: bool):
-        """Per block: (k, gamma columns, shift), shift = digits below the block.
-
-        With `spanning`, a block of arity 3 is (1, -1, 1) alone, whose head
-        (1, q - 1) has base-q value 2q - 1.
-        """
-        offset, shift, out = self.offset, sum(ks), []
+    def _rows(self, ks):
+        """One row per instance of shape (k_1, ..., k_n), pi by pi."""
+        q, offset = self.q, self.offset
+        blocks, shift = [], sum(ks)
         for k in ks:
             shift -= k
-            cols = range(offset[k], offset[k + 1])
-            if spanning and k == 3:
-                cols = cols[2 * self.q - 1 : 2 * self.q]
-            out.append((k, cols, shift))
-        return out
-
-    def _rows(self, ks, spanning: bool):
-        """One row per instance of shape ks, pi by pi from the last column down.
-
-        Descending pi keeps the stored rows sparse: the entry updates of
-        elimination fall from 576 k to 39 k at (19, 4) and from 658 k to
-        104 k at (5, 7) against ascending pi.
-        """
-        q, offset = self.q, self.offset
-        blocks = self._blocks(ks, spanning)
+            blocks.append((k, range(offset[k], offset[k + 1]), shift))
         base = offset[sum(ks)]
-        for pi_col, pi in reversed(list(enumerate(_distributions(q, len(ks)), offset[len(ks)]))):
-            choices = [zip(cols, self._digits(k, cols, a, shift)) for a, (k, cols, shift) in zip(pi, blocks)]
+        for pi_col, pi in enumerate(_distributions(q, len(ks)), offset[len(ks)]):
+            choices = [zip(cols, self._digits(k, a, shift)) for a, (k, cols, shift) in zip(pi, blocks)]
             for choice in product(*choices):
                 row = {pi_col: q - 1}
                 comp = base
@@ -180,76 +144,52 @@ class ChainRuleRows:
                 row[comp] = (row.get(comp, 0) + 1) % q
                 yield {c: v for c, v in row.items() if v}
 
-    def needed(self, form):
-        """The spanning rows `form` must eliminate; every spanning row when `form` is None.
+    def spanning(self):
+        """The spanning rows, each as (column, coefficient) terms.
 
-        Stops once the form's kernel is {0}.  A shape whose instances the
-        form's kernel vector already satisfies is checked with list
-        arithmetic and skipped as a whole; any other shape is handed over
-        row by row through `form.needs`.
+        First the unit row, -I(u).  Then, per instance whose only non-unit
+        block gamma sits at slot i of pi, with a = pi_i, the four terms of
+        I(composite) - I(pi) - (1 - a) I(u) - a I(gamma): the other slots'
+        weights sum to 1 - a.  Terms may share a column or be 0.  The
+        composite's column is pi's with the digit a replaced by the digits
+        of a*gamma, so no composite is built.
+
+        The kernel does not depend on the order, only the work does: n
+        ascending; for n <= 2 gamma of arity 2 before (1, -1, 1), which
+        enter low-arity relations early and keep the stored rows sparse,
+        for n >= 3 the reverse, which ties the top-arity unknowns together
+        soonest, so the kernel becomes a line after fewer rows; then the
+        slot i from last to first; then pi from the last column down, which
+        against ascending pi cut the entry updates of elimination from
+        576 k to 39 k at (19, 4) and from 658 k to 104 k at (5, 7); then
+        gamma in column order.
         """
-        cache = {}
-        for ks in self._shapes(True):
-            if form is not None:
-                if not form.dimension:
-                    return
-                if form.vector is not None and self._shape_holds(form, ks, cache):
+        q, offset, top = self.q, self.offset, self.max_arity
+        yield ((0, q - 1),)
+        for n in range(1, top):
+            pis = list(enumerate(_distributions(q, n), offset[n]))[::-1]
+            for k in (2, 3) if n <= 2 else (3, 2):
+                if n + k - 1 > top:
                     continue
-            for row in self._rows(ks, True):
-                if form is None or form.needs(row):
-                    yield row
-
-    def _shape_holds(self, form, ks, cache) -> bool:
-        """Whether the form's kernel vector satisfies every spanning instance of shape ks.
-
-        Walks the blocks once over every prefix of choices (a_i, gamma^i),
-        keeping per prefix the composite column so far, sum a_i vec[gamma^i],
-        the pi column so far and sum a_i, which fixes the last a.  `cache`
-        keeps the per-block lists for the rest of the stream, since the
-        kernel vector no longer changes once it passes a shape.  A shape
-        that holds is counted as checked.
-        """
-        q, vec = self.q, form.vector
-
-        def block(k, cols, shift, a):
-            """Digit values and a * vec[gamma], over gamma in `cols`."""
-            key = ("block", cols, shift, a)
-            if key not in cache:
-                cache[key] = (self._digits(k, cols, a, shift), [a * vec[c] for c in cols])
-            return cache[key]
-
-        def head(k, cols, shift, weight):
-            """Per choice (a, gamma): digit value, a * vec[gamma], a * weight and a."""
-            key = ("head", cols, shift, weight)
-            if key not in cache:
-                digits, terms, weights, values = [], [], [], []
-                for a in range(q):
-                    d, t = block(k, cols, shift, a)
-                    digits += d
-                    terms += t
-                    weights += [a * weight] * len(d)
-                    values += [a] * len(d)
-                cache[key] = digits, terms, weights, values
-            return cache[key]
-
-        n = len(ks)
-        *heads, (k, cols, shift) = self._blocks(ks, True)
-        comps, rhss, pcols, sums = [self.offset[sum(ks)]], [0], [self.offset[n]], [0]
-        for i, block_i in enumerate(heads):
-            digits, terms, weights, values = head(*block_i, q ** (n - 2 - i))
-            comps = [c + d for c in comps for d in digits]
-            rhss = [r + t for r in rhss for t in terms]
-            pcols = [c + w for c in pcols for w in weights]
-            sums = [s + a for s in sums for a in values]
-        rhss = list(map(add, rhss, map(vec.__getitem__, pcols)))
-        lasts = [(1 - s) % q for s in sums]
-        last = [block(k, cols, shift, a) for a in range(q)]
-        comps = [c + d for c, a in zip(comps, lasts) for d in last[a][0]]
-        rhss = [r + t for r, a in zip(rhss, lasts) for t in last[a][1]]
-        if list(map(vec.__getitem__, comps)) != [r % q for r in rhss]:
-            return False
-        form.checked += len(comps)
-        return True
+                if k == 2:
+                    gammas = [(offset[2] + g, (g, 1 - g)) for g in range(q)]
+                else:  # the head (1, q - 1) has base-q value 2q - 1
+                    gammas = [(offset[3] + 2 * q - 1, (1, -1, 1))]
+                base = offset[n + k - 1]
+                for shift in range(n):  # the entries of pi after slot i
+                    below, above, wide = q**shift, q ** (shift + 1), q ** (k + shift)
+                    for pi_col, pi in pis:
+                        a = pi[-1 - shift]
+                        # pi's base-q value over all n entries, and the
+                        # composite's column without the digits of a*gamma
+                        value = (pi_col - offset[n]) * q + pi[-1]
+                        rest = base + (value // above * wide + value % below) // q
+                        for gamma_col, gamma in gammas:
+                            v = 0
+                            for y in gamma:
+                                v = v * q + a * y % q
+                            comp_col = rest + v * below // q
+                            yield (comp_col, 1), (pi_col, q - 1), (0, (a - 1) % q), (gamma_col, -a % q)
 
 
 class ConstraintSystem(NamedTuple):
@@ -331,8 +271,7 @@ class _ReducedForm:
     holds the pivot columns whose row is nonzero at the free column j, so
     a new pivot is eliminated only from the rows that hold it.
 
-    Once the kernel is a line, `vector` spans it; a row it satisfies is
-    already in the row space and need not be eliminated.
+    Once the kernel is a line, `vector` spans it.
     """
 
     def __init__(self, q: int, count: int):
@@ -341,22 +280,10 @@ class _ReducedForm:
         self.pivots = {}
         self.users = {}
         self.vector = self._line()
-        self.eliminated = 0
-        self.checked = 0
 
     @property
     def dimension(self) -> int:
         return self.count - len(self.pivots)
-
-    def needs(self, row) -> bool:
-        """Whether `row` could still shrink the kernel; counts it as checked if not."""
-        if not self.dimension:
-            return False
-        vec = self.vector
-        if vec is None or sum(c * vec[i] for i, c in row.items()) % self.q:
-            return True
-        self.checked += 1
-        return False
 
     def add(self, row: dict) -> None:
         """Reduce `row` in one pass over its pivot columns and insert what is left.
@@ -364,7 +291,6 @@ class _ReducedForm:
         `row` maps columns to coefficients in [1, q) and is consumed.
         """
         q, pivots, users = self.q, self.pivots, self.users
-        self.eliminated += 1
         # a stored row is zero on every other pivot column, so subtracting it
         # never brings back a pivot column already cleared
         for c in [c for c in row if c in pivots]:
@@ -406,15 +332,15 @@ class _ReducedForm:
     def kernel(self):
         """(free columns, basis): basis[i] is 1 at free column i, 0 at the others."""
         q, count = self.q, self.count
-        free_cols = [j for j in range(count) if j not in self.pivots]
+        free_cols = tuple(j for j in range(count) if j not in self.pivots)
         basis = []
         for j in free_cols:
             vec = [0] * count
             vec[j] = 1
             for col in self.users.get(j, ()):
                 vec[col] = -self.pivots[col][j] % q
-            basis.append(vec)
-        return free_cols, basis
+            basis.append(tuple(vec))
+        return free_cols, tuple(basis)
 
 
 def solve(system: ConstraintSystem) -> SolutionSpace:
@@ -422,32 +348,36 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
 
     Rows go one at a time into a reduced echelon form; of a `ChainRuleRows`
     only the spanning subset is read, which has the same row space.  Once
-    the kernel is a line, a row is evaluated on its vector instead: a row
-    the vector satisfies lies in the row space already, and one it violates
-    is eliminated and leaves the kernel {0}, after which no row is read.
-    The kernel is that of the whole system, by the same reduced form as
-    eliminating every row.
+    the kernel is a line, a row's terms are evaluated on its vector
+    instead: a row the vector satisfies lies in the row space already, and
+    one it violates is eliminated and leaves the kernel {0}, after which no
+    row is read.  The kernel is that of the whole system, by the same
+    reduced form as eliminating every row.
     """
-    form = _ReducedForm(system.p.p, len(system.unknowns))
+    q = system.p.p
+    form = _ReducedForm(q, len(system.unknowns))
     rows = system.rows
-    if isinstance(rows, ChainRuleRows):
-        needed = rows.needed(form)
-    else:
-        q = system.p.p
-        needed = ({c: v % q for c, v in row.items() if v % q} for row in rows if form.needs(row))
-    for row in needed:
+    spanning = isinstance(rows, ChainRuleRows)
+    eliminated = checked = 0
+    for terms in rows.spanning() if spanning else (row.items() for row in rows):
+        if not form.dimension:
+            break
+        vec = form.vector
+        if vec is not None and not sum([c * vec[j] for j, c in terms]) % q:
+            checked += 1
+            continue
+        row = {}
+        for j, c in terms:
+            c = (row.get(j, 0) + c) % q
+            if c:
+                row[j] = c
+            else:
+                row.pop(j, None)
         form.add(row)
-    implied = len(rows) - form.eliminated - form.checked if isinstance(rows, ChainRuleRows) else 0
+        eliminated += 1
     free_cols, basis = form.kernel()
-    return SolutionSpace(
-        system.p,
-        system.unknowns,
-        tuple(map(tuple, basis)),
-        tuple(free_cols),
-        form.eliminated,
-        form.checked,
-        implied,
-    )
+    implied = len(rows) - eliminated - checked if spanning else 0
+    return SolutionSpace(system.p, system.unknowns, basis, free_cols, eliminated, checked, implied)
 
 
 def entropy_vector(unknowns, p: PrimeModulus) -> tuple:

@@ -11,7 +11,6 @@ distributions are whitespace-separated fractions (e.g. `1/2 1/4 1/4`).
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import characterization, distributions, finprob, polynomials, residue
 from .errors import InvalidPolynomial, ModentError, ParseError
@@ -39,30 +38,11 @@ def parse_mod_dist(text: str) -> distributions.ModDist:
     return distributions.ModDist(*parse_mod_values(text))
 
 
-def _fraction(tok: str) -> Fraction:
-    """One fraction token; a decimal exponent beyond the int string-digit limit is refused.
-
-    Fraction expands `1e-99999999` into a 10^8-digit integer, which takes
-    many minutes, so the exponent is read before the number is built.  The
-    limit is 4300, CPython's default, where the interpreter has no limit
-    or no `sys.get_int_max_str_digits` (before 3.10.7).
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    _, e, exponent = tok.lower().partition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
-        raise ParseError(f"cannot parse fraction {tok!r}: exponent beyond {limit}")
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse fraction {tok!r}: {exc}") from None
-
-
 def parse_rational_dist(tokens) -> residue.RationalDist:
     """Parse whitespace-separated `num/den` fractions into a rational distribution."""
     if isinstance(tokens, str):
         tokens = tokens.split()
-    return residue.RationalDist([_fraction(tok) for tok in tokens])
+    return residue.RationalDist(tokens)
 
 
 def parse_dist(text: str):

@@ -8,29 +8,58 @@ pairs the entropies mod p agree for every prime p dividing no denominator,
 which is what makes the residue map well defined.
 """
 
+import sys
 from fractions import Fraction
 from math import lcm, prod
 
 from .distributions import ModDist, entropy
-from .errors import DenominatorDivisibleByP, InvalidDistribution, NotCommonDenominator, SumNotOne
+from .errors import DenominatorDivisibleByP, InvalidDistribution, NotCommonDenominator, ParseError, SumNotOne
 from .modular import PrimeModulus, Residue
 from .verification import VerificationReport
 
 
+def _parse(text: str) -> Fraction:
+    """One fraction string; a decimal exponent beyond the int string-digit limit is refused.
+
+    Fraction expands `1e-99999999` into a 10^8-digit integer, which takes
+    many minutes, so the exponent is read before the number is built.  The
+    limit is 4300, CPython's default, where the interpreter has no limit
+    or no `sys.get_int_max_str_digits` (before 3.10.7).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ParseError(f"cannot parse fraction {text!r}: exponent beyond {limit}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse fraction {text!r}: {exc}") from None
+
+
 class RationalDist:
-    """A tuple of exact nonnegative rationals summing to 1, in lowest terms."""
+    """A tuple of exact nonnegative rationals summing to 1, in lowest terms.
+
+    Entries are anything `Fraction` takes; a str that does not parse as a
+    fraction, or has a zero denominator, raises `ParseError`.
+    """
 
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        probs = tuple(Fraction(q) for q in probs)
+        probs = tuple(_parse(q) if isinstance(q, str) else Fraction(q) for q in probs)
         if not probs:
             raise InvalidDistribution("a distribution has at least one entry")
         if any(q < 0 for q in probs):
             raise InvalidDistribution("entries must be nonnegative")
         total = sum(probs)
         if total != 1:
-            raise SumNotOne(total, f"entries sum to {total}, expected 1")
+            try:
+                text = str(total)
+            except ValueError:  # more digits than int-to-str conversion allows
+                num, den = total.numerator.bit_length(), total.denominator.bit_length()
+                text = f"a fraction of a {num}-bit over a {den}-bit int"
+            raise SumNotOne(total, f"entries sum to {text}, expected 1")
         object.__setattr__(self, "probs", probs)
 
     def __setattr__(self, name, val):

@@ -25,10 +25,3 @@ class VerificationReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.passed
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "fail"
-        line = f"{self.name}: {status} ({self.checks} checks"
-        if self.failures:
-            line += f", {len(self.failures)} failures"
-        return line + ")"

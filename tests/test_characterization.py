@@ -10,7 +10,6 @@ from modent.characterization import (
     INSTANCE_GUARD,
     UNKNOWN_GUARD,
     ConstraintSystem,
-    _ReducedForm,
     build_system,
     compare_with_entropy,
     entropy_vector,
@@ -372,7 +371,7 @@ def test_solution_counts_the_rows_it_read():
         # H is in every kernel, so no spanning row leaves the kernel {0}
         # early: every spanning instance is read, every other one implied
         read = solution.rows_eliminated + solution.rows_checked
-        assert read == spanning_instances(p.p, n) == sum(1 for _ in system.rows.needed(None))
+        assert read == spanning_instances(p.p, n) == sum(1 for _ in system.rows.spanning())
         assert solution.rows == read + solution.rows_implied == len(system.rows)
         assert solution.dimension >= 1
     redundant = solve(build_system(P2, 8))
@@ -404,15 +403,15 @@ def test_row_after_the_kernel_is_a_line_is_checked_and_can_break_it():
 
 
 def test_kernel_line_checks_yield_exactly_the_violated_rows():
-    # a form whose kernel is a line that is not the entropy line: the stream
-    # must hand over exactly the spanning rows that the line violates,
-    # whether a whole shape is checked at once or row by row; the line
+    # a kernel that is a line, not the entropy line, pinned by hand-built
+    # rows: solve checks the spanning rows that hold on it and eliminates
+    # the first one it violates, which leaves the kernel {0}; the line
     # violates some spanning row exactly when it violates some instance
     rng = random.Random(20190316)
     for p, n in ((P2, 5), (P3, 4), (P5, 3)):
         q = p.p
         system = build_system(p, n)
-        spanning = list(system.rows.needed(None))
+        spanning = [as_row(q, terms) for terms in system.rows.spanning()]
         assert Counter(map(frozen, spanning)) == Counter(map(frozen, spanning_rows(q, n)))
         count = len(system.unknowns)
         h = entropy_vector(system.unknowns, p)
@@ -423,16 +422,35 @@ def test_kernel_line_checks_yield_exactly_the_violated_rows():
             j = max(i for i, v in enumerate(line) if v % q)
             inv = pow(line[j], -1, q)
             line = [v * inv % q for v in line]
-            form = _ReducedForm(q, count)
-            for i in range(count):
-                if i != j:
-                    form.add({i: 1, j: -line[i] % q} if line[i] else {i: 1})
-            assert form.dimension == 1 and list(form.vector) == line
-            violated = [row for row in spanning if sum(c * line[i] for i, c in row.items()) % q]
-            assert list(system.rows.needed(form)) == violated
-            assert form.checked == len(spanning) - len(violated)
+            pins = tuple({i: 1, j: -line[i] % q} if line[i] else {i: 1} for i in range(count) if i != j)
+            solution = solve(ConstraintSystem(p, n, system.unknowns, pins + tuple(spanning)))
+            violated = [k for k, row in enumerate(spanning) if sum(c * line[i] for i, c in row.items()) % q]
+            if violated:
+                assert solution.dimension == 0
+                assert (solution.rows_eliminated, solution.rows_checked) == (count, violated[0])
+            else:
+                assert solution.basis == (tuple(line),)
+                assert (solution.rows_eliminated, solution.rows_checked) == (count - 1, len(spanning))
             violates_any = any(sum(c * line[i] for i, c in row.items()) % q for row in system.rows)
             assert bool(violated) == violates_any
+
+
+@pytest.mark.parametrize(
+    "q,n,counts",
+    [
+        (2, 6, (205, 103, 1057)),
+        (3, 5, (293, 168, 1094)),
+        (5, 4, (306, 136, 669)),
+        (2, 9, (2773, 1583, 83025)),
+        (11, 4, (2913, 1357, 6885)),
+        (3, 3, (23, 0, 20)),
+    ],
+)
+def test_row_counts_are_pinned(q, n, counts):
+    # the elimination work depends on the order of the spanning rows, so a
+    # change of order or of the subset shows here
+    solution = solve(build_system(PrimeModulus(q), n))
+    assert (solution.rows_eliminated, solution.rows_checked, solution.rows_implied) == counts
 
 
 # --- the spanning subset: both row identities, checked without elimination --
@@ -467,6 +485,14 @@ def frozen(row):
     return frozenset(row.items())
 
 
+def as_row(q, terms):
+    """A row given as (column, coefficient) terms, as a dict without zero entries."""
+    row = Counter()
+    for c, v in terms:
+        row[c] += v
+    return {c: v % q for c, v in row.items() if v % q}
+
+
 def spanning_rows(q, max_arity):
     """The unit row and every instance whose only non-unit block has arity 2 or is (1, -1, 1)."""
     index = unknown_index(q, max_arity)
@@ -477,6 +503,25 @@ def spanning_rows(q, max_arity):
                 if n + len(gamma) - 1 <= max_arity:
                     rows += [instance_row(q, index, pi, single(pi, j, gamma)) for j in range(n)]
     return rows
+
+
+def test_spanning_rows_come_in_the_documented_order():
+    # the order sets the elimination work, not the kernel or the counters: n
+    # ascending; gamma of arity 2 before (1, -1, 1) for n <= 2 and after it
+    # for n >= 3; the slot from last to first; pi from the last column down;
+    # gamma in column order
+    for q, max_arity in ((2, 6), (3, 5), (5, 4)):
+        index = unknown_index(q, max_arity)
+        expected = [instance_row(q, index, (1,), ((1,),))]
+        for n in range(1, max_arity):
+            for k in (2, 3) if n <= 2 else (3, 2):
+                if n + k - 1 <= max_arity:
+                    gammas = distributions_of(q, 2) if k == 2 else [(1, q - 1, 1)]
+                    for j in reversed(range(n)):
+                        for pi in reversed(distributions_of(q, n)):
+                            expected += [instance_row(q, index, pi, single(pi, j, g)) for g in gammas]
+        rows = build_system(PrimeModulus(q), max_arity).rows.spanning()
+        assert [as_row(q, terms) for terms in rows] == expected
 
 
 def split(q, gamma):

@@ -184,6 +184,13 @@ def test_huge_decimal_exponent_is_refused_before_the_number_is_built():
     assert dist.probs[0] == Fraction(1, 10**4300)
 
 
+def test_residue_whose_sum_has_too_many_digits_to_print_exits_2(capsys):
+    # 1/10^4300 has a 4301-digit denominator, past the int-to-str limit
+    assert cli.run(["residue", "--p", "5", "1e-4300"]) == 2
+    err = capsys.readouterr().err
+    assert "expected 1" in err and "limit" not in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert cli.run(["entropy", "3:1,1"]) == 2
     err = capsys.readouterr().err

@@ -1,13 +1,17 @@
 """Tests for rational distributions and the residue of real entropy."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+import modent
 from modent.distributions import entropy, tensor
-from modent.errors import DenominatorDivisibleByP, InvalidDistribution, SumNotOne
+from modent.errors import DenominatorDivisibleByP, InvalidDistribution, ParseError, SumNotOne
 from modent.modular import PrimeModulus
 from modent.residue import (
     RationalDist,
@@ -49,6 +53,40 @@ def test_rational_dist_validation():
         RationalDist([])
     d = RationalDist(["1/2", "1/4", "1/4"])  # Fraction-parsable inputs are accepted
     assert d.probs == (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+
+
+def test_rational_dist_refuses_bad_strings_with_typed_errors():
+    for entries in (["abc"], ["1/0"], ["1/2", "1/2x"]):
+        with pytest.raises(ParseError):
+            RationalDist(entries)
+    # a sum whose digits exceed the int-to-str limit is reported, not formatted
+    for entries in (["1e-4300"], [Fraction(1, 10**5000)]):
+        with pytest.raises(SumNotOne) as err:
+            RationalDist(entries)
+        assert "expected 1" in str(err.value)
+    # an exponent at the limit still parses
+    assert RationalDist(["1e-4300", "0." + "9" * 4300]).probs[0] == Fraction(1, 10**4300)
+
+
+def test_rational_dist_refuses_a_huge_exponent_before_the_number_is_built():
+    # Fraction("1e-99999999") would build a 10^8-digit integer for minutes, so
+    # the refused entries run in a subprocess whose timeout keeps a regression
+    # from hanging the suite
+    code = (
+        "from modent.errors import ParseError\n"
+        "from modent.residue import RationalDist\n"
+        "for tok in ('1e-99999999', '1E+99999999', '2e-4301', '1e0000000000000000000099_999_999'):\n"
+        "    try:\n"
+        "        RationalDist([tok, '1'])\n"
+        "    except ParseError as exc:\n"
+        "        assert 'exponent' in str(exc), exc\n"
+        "    else:\n"
+        "        raise SystemExit(tok)\n"
+    )
+    src = os.path.dirname(os.path.dirname(modent.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
 
 
 def test_reduce_mod_examples():
