@@ -253,9 +253,9 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
     if not override_guard:
         if max_arity <= 3 and q ** (max_arity - 1) > UNKNOWN_GUARD:
             raise RangeGuard(f"{q}^{max_arity - 1} unknowns of top arity exceeds {UNKNOWN_GUARD}")
-        # q^(N-1) is at most the spanning count, so a huge max_arity is
-        # refused before its terms are summed
-        if q ** (max_arity - 1) > INSTANCE_GUARD or spanning_instances(q, max_arity) > INSTANCE_GUARD:
+        # the spanning count is at least 2^(N-1), so a huge max_arity is
+        # refused before any power of q is computed
+        if max_arity > INSTANCE_GUARD.bit_length() or spanning_instances(q, max_arity) > INSTANCE_GUARD:
             raise RangeGuard(f"p = {q}, max_arity = {max_arity} has over {INSTANCE_GUARD} spanning instances")
     unknowns = tuple(u for n in range(1, max_arity + 1) for u in _distributions(q, n))
     return ConstraintSystem(p, max_arity, unknowns, ChainRuleRows(q, max_arity))

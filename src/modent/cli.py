@@ -11,6 +11,7 @@ distributions are whitespace-separated fractions (e.g. `1/2 1/4 1/4`).
 import argparse
 import json
 import sys
+from itertools import product
 
 from . import characterization, distributions, finprob, polynomials, residue
 from .errors import InvalidPolynomial, ModentError, ParseError
@@ -43,13 +44,6 @@ def parse_rational_dist(tokens) -> residue.RationalDist:
     if isinstance(tokens, str):
         tokens = tokens.split()
     return residue.RationalDist(tokens)
-
-
-def parse_dist(text: str):
-    """Dispatch on syntax: `p:...` is a ModDist, fraction tokens a RationalDist."""
-    if ":" in text:
-        return parse_mod_dist(text)
-    return parse_rational_dist(text)
 
 
 def format_mod_dist(d) -> str:
@@ -201,20 +195,14 @@ def _cmd_interpolate(args):
     n = args.nvars
     if n < 0:
         raise InvalidPolynomial("nvars must be nonnegative")
-    expected = p.p**n
-    if len(args.values) != expected:
-        raise ParseError(f"need {expected} values for p={p.p}, nvars={n}, got {len(args.values)}")
-    flat = [int(v) for v in args.values]
-
-    def table(point):
-        idx = 0
-        for coord in point:
-            idx = idx * p.p + coord
-        return flat[idx]
-
-    poly = polynomials.interpolate(table, p, n)
+    count = len(args.values)
+    # p^n >= 2^n, so a huge n is refused before p^n is computed
+    if n > count.bit_length() or p.p**n != count:
+        raise ParseError(f"need {p.p}^{n} values for p={p.p}, nvars={n}, got {count}")
+    table = dict(zip(product(range(p.p), repeat=n), map(int, args.values)))
+    poly = polynomials.interpolate(table.__getitem__, p, n)
     text = poly.to_text()
-    return 0, {"p": p.p, "nvars": n, "points": expected, "poly": text, "result": text}
+    return 0, {"p": p.p, "nvars": n, "points": count, "poly": text, "result": text}
 
 
 def _cmd_characterize(args):

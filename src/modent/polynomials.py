@@ -12,8 +12,8 @@ checked pointwise.
 """
 
 from itertools import accumulate, product
-from math import comb, factorial
-from operator import add
+from math import factorial
+from operator import add, mul
 
 from .distributions import compositions
 from .errors import (
@@ -360,45 +360,20 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
     if n < 0:
         raise InvalidPolynomial("nvars must be nonnegative")
     q = p.p
-    if q**n > INTERPOLATE_POINT_GUARD:
+    # q^n >= 2^n, so a huge n is refused before q^n is computed
+    if n > INTERPOLATE_POINT_GUARD.bit_length() or q**n > INTERPOLATE_POINT_GUARD:
         raise RangeGuard(f"{q}^{n} points exceeds the guard of {INTERPOLATE_POINT_GUARD}")
-    # row a of U holds the coefficients of 1 - (x - a)^(p-1)
-    u_matrix = []
-    for a in range(q):
-        row = [0] * q
-        row[0] = 1
-        for s in range(q):
-            row[s] = (row[s] - comb(q - 1, s) * pow(-a, q - 1 - s, q)) % q
-        u_matrix.append(row)
-
+    # u[s][a] is the x^s coefficient of 1 - (x - a)^(p-1), as
+    # binom(p-1, s) = (-1)^s mod p makes (x - a)^(p-1) = sum a^(p-1-s) x^s
+    u = [[((s == 0) - pow(a, q - 1 - s, q)) % q for a in range(q)] for s in range(q)]
     values = [int(table(pt)) % q for pt in product(range(q), repeat=n)]
-    size = q**n
-    for axis in range(n):
-        stride = q ** (n - 1 - axis)
-        block = stride * q
-        new = [0] * size
-        for start in range(0, size, block):
-            for off in range(stride):
-                base = start + off
-                col = [values[base + a * stride] for a in range(q)]
-                for s in range(q):
-                    acc = 0
-                    for a in range(q):
-                        if col[a]:
-                            acc += u_matrix[a][s] * col[a]
-                    new[base + s * stride] = acc % q
-        values = new
-
-    terms = {}
-    for idx, c in enumerate(values):
-        if c:
-            exps = []
-            rem = idx
-            for axis in range(n):
-                exps.append(rem // q ** (n - 1 - axis))
-                rem %= q ** (n - 1 - axis)
-            terms[tuple(exps)] = c
-    return MultiPoly._canonical(p, n, terms)
+    # each pass expands the first axis and moves it to the end, so after n
+    # passes every axis is expanded and back in its place
+    for _ in range(n):
+        m = len(values) // q
+        lines = zip(*(values[a * m : (a + 1) * m] for a in range(q)))
+        values = [sum(map(mul, line, us)) % q for line in lines for us in u]
+    return MultiPoly._canonical(p, n, {e: c for e, c in zip(product(range(q), repeat=n), values) if c})
 
 
 def _check_identity_guard(p: PrimeModulus):

@@ -11,6 +11,7 @@ which is what makes the residue map well defined.
 import sys
 from fractions import Fraction
 from math import lcm, prod
+from numbers import Rational
 
 from .distributions import ModDist, entropy
 from .errors import DenominatorDivisibleByP, InvalidDistribution, NotCommonDenominator, ParseError, SumNotOne
@@ -37,17 +38,25 @@ def _parse(text: str) -> Fraction:
         raise ParseError(f"cannot parse fraction {text!r}: {exc}") from None
 
 
+def _rational(q) -> Fraction:
+    """A non-str entry as a Fraction; only ints and other rationals are taken."""
+    if not isinstance(q, Rational):
+        raise InvalidDistribution(f"entry {q!r} is neither a str nor a rational number")
+    return Fraction(q)
+
+
 class RationalDist:
     """A tuple of exact nonnegative rationals summing to 1, in lowest terms.
 
-    Entries are anything `Fraction` takes; a str that does not parse as a
-    fraction, or has a zero denominator, raises `ParseError`.
+    Entries are strs, ints or other rationals such as `Fraction`; a float or
+    any other type raises `InvalidDistribution`, and a str that does not
+    parse as a fraction, or has a zero denominator, raises `ParseError`.
     """
 
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        probs = tuple(_parse(q) if isinstance(q, str) else Fraction(q) for q in probs)
+        probs = tuple(_parse(q) if isinstance(q, str) else _rational(q) for q in probs)
         if not probs:
             raise InvalidDistribution("a distribution has at least one entry")
         if any(q < 0 for q in probs):

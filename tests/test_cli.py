@@ -131,14 +131,6 @@ def test_parse_and_format_round_trip_rationals():
         assert cli.parse_rational_dist(cli.format_rational_dist(d)) == d
 
 
-def test_parse_dist_dispatch():
-    from modent.distributions import ModDist
-    from modent.residue import RationalDist
-
-    assert isinstance(cli.parse_dist("3:2,2"), ModDist)
-    assert isinstance(cli.parse_dist("1/2 1/4 1/4"), RationalDist)
-
-
 def test_parse_negative_values_normalized():
     d = cli.parse_mod_dist("3:-1,-1,0")
     assert d.values() == (2, 2, 0)
@@ -184,6 +176,38 @@ def test_huge_decimal_exponent_is_refused_before_the_number_is_built():
     assert dist.probs[0] == Fraction(1, 10**4300)
 
 
+def test_huge_table_and_system_sizes_are_refused_before_the_power_is_computed():
+    # 3^(10^8) takes minutes to compute, so the refused calls run in a
+    # subprocess whose timeout keeps a regression from hanging the suite
+    code = """
+import contextlib, io
+from modent import cli
+from modent.characterization import build_system
+from modent.errors import RangeGuard
+from modent.modular import PrimeModulus
+from modent.polynomials import interpolate
+
+for refused in (
+    lambda: interpolate(lambda pt: 0, PrimeModulus(3), 10**8),
+    lambda: build_system(PrimeModulus(3), 10**8),
+):
+    try:
+        refused()
+    except RangeGuard:
+        pass
+    else:
+        raise SystemExit("not refused")
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    assert cli.run(["interpolate", "--p", "3", "--nvars", "100000000", "0"]) == 2
+assert "need 3^100000000 values" in err.getvalue() and "limit" not in err.getvalue(), err.getvalue()
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_residue_whose_sum_has_too_many_digits_to_print_exits_2(capsys):
     # 1/10^4300 has a 4301-digit denominator, past the int-to-str limit
     assert cli.run(["residue", "--p", "5", "1e-4300"]) == 2
@@ -198,6 +222,7 @@ def test_usage_errors_exit_2(capsys):
     assert cli.run(["fq", "--p", "5", "10"]) == 2
     assert cli.run(["nonsense"]) == 2
     assert cli.run(["interpolate", "--p", "2", "--nvars", "2", "1", "0"]) == 2
+    assert "need 2^2 values" in capsys.readouterr().err
 
 
 def test_measure_entropy_empty(capsys):

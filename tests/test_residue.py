@@ -68,6 +68,14 @@ def test_rational_dist_refuses_bad_strings_with_typed_errors():
     assert RationalDist(["1e-4300", "0." + "9" * 4300]).probs[0] == Fraction(1, 10**4300)
 
 
+def test_rational_dist_takes_only_strs_and_rationals():
+    # no floating point: a float is refused like any other non-rational entry
+    for entries in ([0.5, 0.5], [None], [b"1"]):
+        with pytest.raises(InvalidDistribution):
+            RationalDist(entries)
+    assert RationalDist([1, 0]).probs == (Fraction(1), Fraction(0))
+
+
 def test_rational_dist_refuses_a_huge_exponent_before_the_number_is_built():
     # Fraction("1e-99999999") would build a 10^8-digit integer for minutes, so
     # the refused entries run in a subprocess whose timeout keeps a regression
