@@ -9,14 +9,13 @@ under-constrained, in which case the extra kernel directions are reported
 rather than treated as failures.
 
 The system is never stored: its rows are generated on demand, and `solve`
-streams only a spanning subset of them into one reduced row echelon form
-(see `ChainRuleRows.spanning`).
+substitutes only a spanning subset of them (see `ChainRuleRows.spanning`).
 """
 
 from itertools import product
 from typing import NamedTuple
 
-from .distributions import compositions, entropy_of_representatives
+from .distributions import compositions
 from .errors import InvalidSize, RangeGuard
 from .modular import PrimeModulus
 from .verification import VerificationReport
@@ -24,10 +23,8 @@ from .verification import VerificationReport
 # Spanning instances at (2, 14), the largest count of any cell that the
 # former guard, q^(N-1) <= 10^4, accepted.
 INSTANCE_GUARD = 241_668
-# The former guard on q^(N-1), kept at N <= 3: there the kernel never
-# becomes a line for p >= 3 (it has dimension q at N = 2 and 2 at N = 3),
-# so every spanning row is eliminated and the cost grows faster than their
-# count.
+# The former guard on q^(N-1), kept at N = 2: the kernel there has
+# dimension q, and its dense basis of q vectors of q + 1 entries is the cost.
 UNKNOWN_GUARD = 10**4
 
 
@@ -155,14 +152,11 @@ class ChainRuleRows:
         of a*gamma, so no composite is built.
 
         The kernel does not depend on the order, only the work does: n
-        ascending; for n <= 2 gamma of arity 2 before (1, -1, 1), which
-        enter low-arity relations early and keep the stored rows sparse,
-        for n >= 3 the reverse, which ties the top-arity unknowns together
-        soonest, so the kernel becomes a line after fewer rows; then the
-        slot i from last to first; then pi from the last column down, which
-        against ascending pi cut the entry updates of elimination from
-        576 k to 39 k at (19, 4) and from 658 k to 104 k at (5, 7); then
-        gamma in column order.
+        ascending; for n <= 2 gamma of arity 2 before (1, -1, 1), for n >= 3
+        the reverse; then the slot i from last to first; then pi from the
+        last column down; then gamma in column order.  Each row then gives
+        a value to at most its composite, and only the columns of Pi_2 and
+        of (1, -1, 1) become parameters of `solve`.
         """
         q, offset, top = self.q, self.offset, self.max_arity
         yield ((0, q - 1),)
@@ -213,12 +207,13 @@ class SolutionSpace(NamedTuple):
 
     basis[i] is 1 at free_columns[i] and 0 at every other free column, so
     membership of a vector reduces to reading its free coordinates.
-    `rows_eliminated` rows went through elimination and `rows_checked`
-    rows were shown by evaluation to hold on the kernel already.
-    `rows_implied` counts the chain-rule instances never read: those
-    outside the spanning subset, whose rows are combinations of the rows
-    read, and any left once the kernel was {0}.  A hand-built system has
-    none; its rows left unread once the kernel was {0} count nowhere.
+    `rows_eliminated` constraints cut the parameters of `solve`, and
+    `rows_checked` counts every other row read: those that defined a
+    column and the constraints that held.  `rows_implied` counts the
+    chain-rule instances never read: those outside the spanning subset,
+    whose rows are combinations of the rows read, and any left once the
+    kernel was {0}.  A hand-built system has none; its rows left unread
+    once the kernel was {0} count nowhere.
     """
 
     p: PrimeModulus
@@ -251,8 +246,8 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
         raise InvalidSize("max_arity must be at least 1")
     q = p.p
     if not override_guard:
-        if max_arity <= 3 and q ** (max_arity - 1) > UNKNOWN_GUARD:
-            raise RangeGuard(f"{q}^{max_arity - 1} unknowns of top arity exceeds {UNKNOWN_GUARD}")
+        if max_arity == 2 and q > UNKNOWN_GUARD:
+            raise RangeGuard(f"{q} unknowns of arity 2 exceeds {UNKNOWN_GUARD}")
         # the spanning count is at least 2^(N-1), so a huge max_arity is
         # refused before any power of q is computed
         if max_arity > INSTANCE_GUARD.bit_length() or spanning_instances(q, max_arity) > INSTANCE_GUARD:
@@ -261,128 +256,130 @@ def build_system(p: PrimeModulus, max_arity: int, override_guard: bool = False) 
     return ConstraintSystem(p, max_arity, unknowns, ChainRuleRows(q, max_arity))
 
 
-class _ReducedForm:
-    """Reduced row echelon form over Z/qZ, grown one row at a time.
-
-    Invariant: the row with pivot column c is 1 at c, zero at every other
-    pivot column and zero left of c (the min-column pivot rule); pivots[c]
-    holds its entries at free columns.  That is the unique reduced row
-    echelon form of the rows added so far, whatever their order.  users[j]
-    holds the pivot columns whose row is nonzero at the free column j, so
-    a new pivot is eliminated only from the rows that hold it.
-
-    Once the kernel is a line, `vector` spans it.
-    """
-
-    def __init__(self, q: int, count: int):
-        self.q = q
-        self.count = count
-        self.pivots = {}
-        self.users = {}
-        self.vector = self._line()
-
-    @property
-    def dimension(self) -> int:
-        return self.count - len(self.pivots)
-
-    def add(self, row: dict) -> None:
-        """Reduce `row` in one pass over its pivot columns and insert what is left.
-
-        `row` maps columns to coefficients in [1, q) and is consumed.
-        """
-        q, pivots, users = self.q, self.pivots, self.users
-        # a stored row is zero on every other pivot column, so subtracting it
-        # never brings back a pivot column already cleared
-        for c in [c for c in row if c in pivots]:
-            f = row.pop(c)
-            for j, v in pivots[c].items():
-                nv = (row.get(j, 0) - f * v) % q
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-        if not row:
-            return
-        col = min(row)
-        inv = pow(row.pop(col), -1, q)
-        if inv != 1:
-            row = {j: v * inv % q for j, v in row.items()}
-        for j in row:
-            users.setdefault(j, set()).add(col)
-        for pcol in users.pop(col, ()):
-            prow = pivots[pcol]
-            f = prow.pop(col)
-            for j, v in row.items():
-                nv = (prow.get(j, 0) - f * v) % q
-                if nv:
-                    if j not in prow:
-                        users[j].add(pcol)
-                    prow[j] = nv
-                else:
-                    del prow[j]
-                    users[j].discard(pcol)
-        pivots[col] = row
-        if self.dimension <= 1:
-            self.vector = self._line()
-
-    def _line(self):
-        """The kernel vector when the kernel is a line, else None."""
-        return self.kernel()[1][0] if self.dimension == 1 else None
-
-    def kernel(self):
-        """(free columns, basis): basis[i] is 1 at free column i, 0 at the others."""
-        q, count = self.q, self.count
-        free_cols = tuple(j for j in range(count) if j not in self.pivots)
-        basis = []
-        for j in free_cols:
-            vec = [0] * count
-            vec[j] = 1
-            for col in self.users.get(j, ()):
-                vec[col] = -self.pivots[col][j] % q
-            basis.append(tuple(vec))
-        return free_cols, tuple(basis)
-
-
 def solve(system: ConstraintSystem) -> SolutionSpace:
-    """Kernel of the system over Z/pZ, by exact streaming Gaussian elimination.
+    """Kernel of the system over Z/pZ, by exact substitution.
 
-    Rows go one at a time into a reduced echelon form; of a `ChainRuleRows`
-    only the spanning subset is read, which has the same row space.  Once
-    the kernel is a line, a row's terms are evaluated on its vector
-    instead: a row the vector satisfies lies in the row space already, and
-    one it violates is eliminated and leaves the kernel {0}, after which no
-    row is read.  The kernel is that of the whole system, by the same
-    reduced form as eliminating every row.
+    Of a `ChainRuleRows` only the spanning subset is read, which has the
+    same row space.  Each column's value is a linear form in parameters,
+    which are columns.  A row with one undefined column defines it; one
+    with several first makes all but the highest into parameters; one with
+    none is a constraint, checked if it holds, else eliminated by pivoting
+    one parameter into a form over the others.  While the free parameters
+    span at most a line, a value is one int, its multiple of the line's
+    parameter.  Once the kernel is {0} no row is read.  Reduced from the
+    right, the parameters' kernel vectors give the canonical basis.
     """
     q = system.p.p
-    form = _ReducedForm(q, len(system.unknowns))
+    count = len(system.unknowns)
     rows = system.rows
     spanning = isinstance(rows, ChainRuleRows)
-    eliminated = checked = 0
+    value = [None] * count  # an int while `line`, else a form {parameter: coefficient}
+    free, pivoted = set(), []  # a free parameter's form is {itself: 1}
+    line = True
+    rank = read = eliminated = 0
+
+    def reduced(j):
+        """value[j] over the free parameters, stored back."""
+        form = value[j]
+        if free.issuperset(form):
+            return form
+        out = {}
+        for t, v in form.items():
+            for s, w in value[t].items():
+                out[s] = (out.get(s, 0) + v * w) % q
+        form = value[j] = {s: w for s, w in out.items() if w}
+        return form
+
+    def leave(acc):
+        """Forms in place of the ints, and of `acc`, as the parameters leave the line."""
+        nonlocal line
+        line = False
+        old = next(iter(free), None)
+        value[:] = [v if v is None else {old: v % q} if v % q else {} for v in value]
+        return {old: acc % q} if acc % q else {}
+
     for terms in rows.spanning() if spanning else (row.items() for row in rows):
-        if not form.dimension:
+        if rank == count:
             break
-        vec = form.vector
-        if vec is not None and not sum([c * vec[j] for j, c in terms]) % q:
-            checked += 1
-            continue
-        row = {}
+        read += 1
+        new, acc = {}, 0 if line else {}
         for j, c in terms:
-            c = (row.get(j, 0) + c) % q
-            if c:
-                row[j] = c
+            v = value[j]
+            if v is None:
+                new[j] = new.get(j, 0) + c
+            elif line:
+                acc += c * v
             else:
-                row.pop(j, None)
-        form.add(row)
-        eliminated += 1
-    free_cols, basis = form.kernel()
-    implied = len(rows) - eliminated - checked if spanning else 0
-    return SolutionSpace(system.p, system.unknowns, basis, free_cols, eliminated, checked, implied)
+                for t, w in reduced(j).items():
+                    acc[t] = acc.get(t, 0) + c * w
+        cols = [j for j, c in new.items() if c % q] if new else None
+        if cols:
+            top = max(cols)
+            if len(cols) > 1:  # all but the highest become parameters
+                acc = leave(acc) if line else acc
+                for j in cols:
+                    if j != top:
+                        free.add(j)
+                        value[j] = {j: 1}
+                        acc[j] = new[j]
+            inv = -pow(new[top], -1, q)
+            value[top] = acc * inv % q if line else {t: v * inv % q for t, v in acc.items() if v % q}
+        elif line and not acc % q:
+            continue
+        else:
+            acc = leave(acc) if line else {t: v % q for t, v in acc.items() if v % q}
+            if not acc:
+                continue
+            pivot = max(acc)
+            inv = -pow(acc.pop(pivot), -1, q)
+            value[pivot] = {t: v * inv % q for t, v in acc.items()}
+            free.discard(pivot)
+            for t in pivoted:
+                reduced(t)
+            pivoted.append(pivot)
+            eliminated += 1
+        rank += 1
+        if not line and len(free) <= 1:  # the parameters span a line, or only 0
+            old = next(iter(free), None)
+            value = [None if v is None else reduced(j).get(old, 0) for j, v in enumerate(value)]
+            pivoted.clear()
+            line = True
+    params = tuple(free)  # a set that once held many parameters is slow to iterate
+    basis, vectors = {}, {t: [0] * count for t in params}
+    for j, v in enumerate(value):
+        if v is None:  # a column no row defined is free, with a unit vector
+            unit = [0] * count
+            unit[j] = 1
+            basis[j] = tuple(unit)
+        else:  # while `line`, `params` holds at most the line's parameter
+            for t, w in zip(params, (v,)) if line else reduced(j).items():
+                vectors[t][j] = w
+    for vec in vectors.values():  # reduced from the right into `basis`
+        for col, b in basis.items():
+            f = vec[col]
+            if f:
+                vec = [(x - f * y) % q for x, y in zip(vec, b)]
+        last = max(j for j, x in enumerate(vec) if x)
+        f = pow(vec[last], -1, q)
+        vec = [x * f % q for x in vec]
+        for col, b in basis.items():
+            f = b[last]
+            if f:
+                basis[col] = [(x - f * y) % q for x, y in zip(b, vec)]
+        basis[last] = vec
+    free_cols = tuple(sorted(basis))
+    basis = tuple(tuple(basis[j]) for j in free_cols)
+    implied = len(rows) - read if spanning else 0
+    return SolutionSpace(system.p, system.unknowns, basis, free_cols, eliminated, read - eliminated, implied)
 
 
 def entropy_vector(unknowns, p: PrimeModulus) -> tuple:
-    """The entropy H_p of every unknown distribution, as a coefficient vector."""
-    return tuple(entropy_of_representatives(u, p).value for u in unknowns)
+    """H_p of every unknown, as a vector: its entries lie in [0, p) and sum to
+    1 mod p, so (sum a_i)^p = 1 mod p² and H_p = (1 - sum a_i^p)/p."""
+    q = p.p
+    q2 = q * q
+    powers = [pow(a, q, q2) for a in range(q)]
+    return tuple((1 - sum(map(powers.__getitem__, u))) % q2 // q for u in unknowns)
 
 
 def in_span(vector, solution: SolutionSpace) -> bool:

@@ -11,6 +11,7 @@ distributions are whitespace-separated fractions (e.g. `1/2 1/4 1/4`).
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import product
 
 from . import characterization, distributions, finprob, polynomials, residue
@@ -242,7 +243,8 @@ def _cmd_verify_core(args):
 # --- driver ----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def build_parser() -> argparse.ArgumentParser:  # built once, on the first call
     parser = argparse.ArgumentParser(
         prog="modent", description="entropy of probability distributions mod p"
     )
@@ -320,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

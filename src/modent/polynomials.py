@@ -30,7 +30,7 @@ from .verification import VerificationReport
 
 IDENTITY_PRIME_GUARD = 31
 GROUPING_SIZE_GUARD = 6
-INTERPOLATE_POINT_GUARD = 10**6
+INTERPOLATE_WORK_GUARD = 250_000  # bounds max(n, 1) * p^(n+1), see interpolate
 
 _SHORT_NAMES = ("x", "y", "z")
 
@@ -360,9 +360,10 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
     if n < 0:
         raise InvalidPolynomial("nvars must be nonnegative")
     q = p.p
-    # q^n >= 2^n, so a huge n is refused before q^n is computed
-    if n > INTERPOLATE_POINT_GUARD.bit_length() or q**n > INTERPOLATE_POINT_GUARD:
-        raise RangeGuard(f"{q}^{n} points exceeds the guard of {INTERPOLATE_POINT_GUARD}")
+    # n q^(n+1) products in the n passes, q^2 entries of U; q^(n+1) >= 2^(n+1),
+    # so a huge n is refused before q^(n+1) is computed
+    if n > INTERPOLATE_WORK_GUARD.bit_length() or max(n, 1) * q ** (n + 1) > INTERPOLATE_WORK_GUARD:
+        raise RangeGuard(f"p = {q}, n = {n} needs over {INTERPOLATE_WORK_GUARD} products")
     # u[s][a] is the x^s coefficient of 1 - (x - a)^(p-1), as
     # binom(p-1, s) = (-1)^s mod p makes (x - a)^(p-1) = sum a^(p-1-s) x^s
     u = [[((s == 0) - pow(a, q - 1 - s, q)) % q for a in range(q)] for s in range(q)]

@@ -65,3 +65,51 @@ def random_rational_dist_fractions(rng, max_len=5, max_weight=12) -> tuple:
     weights = [rng.randint(1, max_weight) for _ in range(n)]
     total = sum(weights)
     return tuple(Fraction(w, total) for w in weights)
+
+
+def dense_kernel(q, count, rows):
+    """Gauss-Jordan elimination on dense rows over Z/qZ, q < 128: (free columns, basis).
+
+    Each row is (column, coefficient) pairs, at most one per column, with
+    coefficients in [0, q).  The pivot of a row is its first nonzero
+    column, so basis[i] is 1 at free[i] and 0 at every other free column.
+    A dense row is a bytes object with one entry in [0, q) per column.
+    row - f * prow maps prow through b -> (-f*b) % q, adds the two rows as
+    big ints (each column's sum is below 2q <= 256, so none carries into
+    the next) and maps every byte x -> x % q.
+    """
+    assert q < 128
+    negated = [bytes(-f * b % q if b < q else 0 for b in range(256)) for f in range(q)]
+    scaled = [bytes(f * b % q if b < q else 0 for b in range(256)) for f in range(q)]
+    reduced = bytes(x % q for x in range(256))
+
+    def subtract(row, f, prow):
+        total = int.from_bytes(row, "big") + int.from_bytes(prow.translate(negated[f]), "big")
+        return total.to_bytes(count, "big").translate(reduced)
+
+    pivots = {}
+    for sparse in rows:
+        row = bytearray(count)
+        for c, v in sparse:
+            row[c] = v
+        row = bytes(row)
+        for col, prow in pivots.items():
+            if row[col]:
+                row = subtract(row, row[col], prow)
+        lead = count - len(row.lstrip(b"\0"))
+        if lead == count:
+            continue
+        row = row.translate(scaled[pow(row[lead], -1, q)])
+        for col, prow in pivots.items():
+            if prow[lead]:
+                pivots[col] = subtract(prow, prow[lead], row)
+        pivots[lead] = row
+    free = tuple(j for j in range(count) if j not in pivots)
+    basis = []
+    for j in free:
+        vec = [0] * count
+        vec[j] = 1
+        for col, prow in pivots.items():
+            vec[col] = -prow[j] % q
+        basis.append(tuple(vec))
+    return free, tuple(basis)

@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modent.characterization import (
     INSTANCE_GUARD,
@@ -20,6 +22,7 @@ from modent.characterization import (
 from modent.distributions import ModDist, compose, compositions
 from modent.errors import RangeGuard
 from modent.modular import PrimeModulus
+from oracles import dense_kernel
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
@@ -240,13 +243,14 @@ def test_guard_bounds_the_spanning_instances():
     accepted = [(q, n) for q in primes for n in range(1, 15) if q ** (n - 1) <= 10**4]
     assert max(spanning_instances(q, n) for q, n in accepted) == INSTANCE_GUARD == spanning_instances(2, 14)
     assert len(build_system(P2, 14).unknowns) == 2**14 - 1
-    # at N <= 3 the former bound q^(N-1) <= UNKNOWN_GUARD stays
+    # at N = 2 the former bound q <= UNKNOWN_GUARD stays; at N = 3 the
+    # spanning count alone bounds q, to 347
     build_system(PrimeModulus(97), 3)
-    for q, n in ((2, 15), (3, 10), (11, 6), (5, 8), (101, 3), (UNKNOWN_GUARD + 7, 2)):
+    for q, n in ((2, 15), (3, 10), (11, 6), (5, 8), (349, 3), (UNKNOWN_GUARD + 7, 2)):
         with pytest.raises(RangeGuard):
             build_system(PrimeModulus(q), n)
     # cells beyond q^(N-1) <= 10^4 with few spanning instances are accepted
-    for q, n in ((5, 7), (13, 5), (7, 6), (37, 4)):
+    for q, n in ((5, 7), (13, 5), (7, 6), (37, 4), (101, 3), (347, 3)):
         assert spanning_instances(q, n) <= INSTANCE_GUARD
         build_system(PrimeModulus(q), n)
     # a huge max_arity is refused
@@ -282,51 +286,6 @@ def deduplicated_rows(q, max_arity):
     return len(unknowns), sorted(rows)
 
 
-def dense_kernel(q, count, rows):
-    """Gauss-Jordan elimination on dense rows over Z/qZ, q < 128: (free columns, basis).
-
-    A dense row is a bytes object with one entry in [0, q) per column.
-    row - f * prow maps prow through b -> (-f*b) % q, adds the two rows as
-    big ints (each column's sum is below 2q <= 256, so none carries into
-    the next) and maps every byte x -> x % q.
-    """
-    assert q < 128
-    negated = [bytes(-f * b % q if b < q else 0 for b in range(256)) for f in range(q)]
-    scaled = [bytes(f * b % q if b < q else 0 for b in range(256)) for f in range(q)]
-    reduced = bytes(x % q for x in range(256))
-
-    def subtract(row, f, prow):
-        total = int.from_bytes(row, "big") + int.from_bytes(prow.translate(negated[f]), "big")
-        return total.to_bytes(count, "big").translate(reduced)
-
-    pivots = {}
-    for sparse in rows:
-        row = bytearray(count)
-        for c, v in sparse:
-            row[c] = v
-        row = bytes(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                row = subtract(row, row[col], prow)
-        lead = count - len(row.lstrip(b"\0"))
-        if lead == count:
-            continue
-        row = row.translate(scaled[pow(row[lead], -1, q)])
-        for col, prow in pivots.items():
-            if prow[lead]:
-                pivots[col] = subtract(prow, prow[lead], row)
-        pivots[lead] = row
-    free = tuple(j for j in range(count) if j not in pivots)
-    basis = []
-    for j in free:
-        vec = [0] * count
-        vec[j] = 1
-        for col, prow in pivots.items():
-            vec[col] = -prow[j] % q
-        basis.append(tuple(vec))
-    return free, tuple(basis)
-
-
 PRIMES = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
 DENSE_CELLS = [(p, n) for p in PRIMES for n in range(1, 10) if p ** (n - 1) <= 300]
 
@@ -346,6 +305,40 @@ def test_solve_matches_dense_elimination_of_deduplicated_rows(p, n):
     solution = solve(system)
     assert solution.free_columns == free
     assert solution.basis == basis
+
+
+@st.composite
+def hand_built_systems(draw):
+    """(q, count, rows): at most 15 rows over at most 12 columns, some of which
+    no row names, with coefficients that may be multiples of q, and repeated rows."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    count = draw(st.integers(1, 12))
+    named = draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=count, unique=True))
+    coefficient = st.integers(-q, 2 * q)
+    # wide rows first make several columns into parameters, then narrow rows
+    # define columns or constrain the parameters
+    wide = st.dictionaries(st.sampled_from(named), coefficient, min_size=min(3, len(named)), max_size=5)
+    narrow = st.dictionaries(st.sampled_from(named), coefficient, max_size=3)
+    rows = draw(st.lists(wide, max_size=3)) + draw(st.lists(narrow, max_size=9))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return q, count, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(hand_built_systems())
+def test_solve_matches_dense_elimination_of_hand_built_rows(case):
+    # the branches the chain-rule rows never take: coefficients that cancel,
+    # columns that no row names, rows that repeat or empty the kernel, and
+    # wide rows that make up to four parameters at once
+    q, count, rows = case
+    unknowns = tuple((i,) for i in range(count))
+    solution = solve(ConstraintSystem(PrimeModulus(q), 1, unknowns, tuple(rows)))
+    free, basis = dense_kernel(q, count, [[(c, v % q) for c, v in row.items() if v % q] for row in rows])
+    assert solution.free_columns == free
+    assert solution.basis == basis
+    assert solution.rows_eliminated + solution.rows_checked <= len(rows)
+    assert solution.rows_implied == 0
 
 
 def test_rows_stream_one_row_per_instance():
@@ -374,39 +367,47 @@ def test_solution_counts_the_rows_it_read():
         assert read == spanning_instances(p.p, n) == sum(1 for _ in system.rows.spanning())
         assert solution.rows == read + solution.rows_implied == len(system.rows)
         assert solution.dimension >= 1
+        # only a constraint on the parameters, the q columns of Pi_2 and
+        # the column of (1, -1, 1), is eliminated, and each cuts one
+        assert solution.rows_eliminated <= p.p + 1
     redundant = solve(build_system(P2, 8))
     assert redundant.rows_implied > 10 * (redundant.rows_eliminated + redundant.rows_checked)
-    assert redundant.rows_checked > redundant.rows_eliminated / 2
+    assert redundant.rows_checked > 100 * redundant.rows_eliminated
     underdetermined = solve(build_system(P3, 3))
-    assert underdetermined.rows_checked == 0  # the kernel never becomes a line
-    assert underdetermined.rows_eliminated == spanning_instances(3, 3)
-    # a hand-built system implies nothing
+    assert underdetermined.rows_eliminated + underdetermined.rows_checked == spanning_instances(3, 3)
+    # a hand-built system implies nothing; a row that defines a column is checked
     hand = solve(ConstraintSystem(P3, 2, ((1,), (1, 0), (0, 1)), ({0: 1}, {1: 1})))
-    assert (hand.rows_eliminated, hand.rows_checked, hand.rows_implied, hand.rows) == (2, 0, 0, 2)
+    assert (hand.rows_eliminated, hand.rows_checked, hand.rows_implied, hand.rows) == (0, 2, 0, 2)
 
 
 def test_row_after_the_kernel_is_a_line_is_checked_and_can_break_it():
-    # x0 = 0 and x1 = 0 leave the line spanned by e2; 2*x0 + x1 = 0 holds on
-    # it and is only checked, x2 = 0 fails and empties the kernel, and the
-    # last row is never read
+    # x0 = 0 and x1 = 0 define two columns and leave the line spanned by e2;
+    # 2*x0 + x1 = 0 holds on it and is only checked, x2 = 0 defines the last
+    # column and empties the kernel, and the last row is never read; x2 = x0
+    # with x2 a parameter is a constraint that fails, and is eliminated
     unknowns = ((1,), (1, 0), (0, 1))
     rows = ({0: 1}, {1: 1}, {0: 2, 1: 1}, {2: 1}, {0: 1, 2: 1})
     solution = solve(ConstraintSystem(P3, 2, unknowns, rows))
     assert solution.dimension == 0
     assert solution.free_columns == () and solution.basis == ()
-    assert (solution.rows_eliminated, solution.rows_checked) == (3, 1)
+    assert (solution.rows_eliminated, solution.rows_checked) == (0, 4)
 
     kept = solve(ConstraintSystem(P3, 2, unknowns, rows[:3]))
     assert kept.dimension == 1
     assert kept.basis == ((0, 0, 1),)
-    assert (kept.rows_eliminated, kept.rows_checked) == (2, 1)
+    assert (kept.rows_eliminated, kept.rows_checked) == (0, 3)
+
+    cut = solve(ConstraintSystem(P3, 2, unknowns, ({0: 1}, {1: 1, 2: 1}, {1: 1}, {0: 1, 2: 1})))
+    assert cut.dimension == 0
+    assert (cut.rows_eliminated, cut.rows_checked) == (1, 2)
 
 
 def test_kernel_line_checks_yield_exactly_the_violated_rows():
     # a kernel that is a line, not the entropy line, pinned by hand-built
-    # rows: solve checks the spanning rows that hold on it and eliminates
-    # the first one it violates, which leaves the kernel {0}; the line
-    # violates some spanning row exactly when it violates some instance
+    # rows, each of which defines a column or makes one a parameter: solve
+    # checks the spanning rows that hold on it and eliminates the first one
+    # it violates, which leaves the kernel {0}; the line violates some
+    # spanning row exactly when it violates some instance
     rng = random.Random(20190316)
     for p, n in ((P2, 5), (P3, 4), (P5, 3)):
         q = p.p
@@ -427,10 +428,15 @@ def test_kernel_line_checks_yield_exactly_the_violated_rows():
             violated = [k for k, row in enumerate(spanning) if sum(c * line[i] for i, c in row.items()) % q]
             if violated:
                 assert solution.dimension == 0
-                assert (solution.rows_eliminated, solution.rows_checked) == (count, violated[0])
+                # the first violated row cuts the line's parameter or,
+                # when no pin names column j, defines it as 0
+                if any(line[i] for i in range(count) if i != j):
+                    assert (solution.rows_eliminated, solution.rows_checked) == (1, count - 1 + violated[0])
+                else:
+                    assert (solution.rows_eliminated, solution.rows_checked) == (0, count + violated[0])
             else:
                 assert solution.basis == (tuple(line),)
-                assert (solution.rows_eliminated, solution.rows_checked) == (count - 1, len(spanning))
+                assert (solution.rows_eliminated, solution.rows_checked) == (0, count - 1 + len(spanning))
             violates_any = any(sum(c * line[i] for i, c in row.items()) % q for row in system.rows)
             assert bool(violated) == violates_any
 
@@ -438,19 +444,21 @@ def test_kernel_line_checks_yield_exactly_the_violated_rows():
 @pytest.mark.parametrize(
     "q,n,counts",
     [
-        (2, 6, (205, 103, 1057)),
-        (3, 5, (293, 168, 1094)),
-        (5, 4, (306, 136, 669)),
-        (2, 9, (2773, 1583, 83025)),
-        (11, 4, (2913, 1357, 6885)),
-        (3, 3, (23, 0, 20)),
+        (2, 6, (2, 306, 1057)),
+        (3, 5, (3, 458, 1094)),
+        (5, 4, (5, 437, 669)),
+        (2, 9, (2, 4354, 83025)),
+        (11, 4, (11, 4259, 6885)),
+        (3, 3, (2, 21, 20)),
     ],
 )
 def test_row_counts_are_pinned(q, n, counts):
-    # the elimination work depends on the order of the spanning rows, so a
-    # change of order or of the subset shows here
+    # which columns become parameters, and so how many constraints cut them,
+    # depends on the order of the spanning rows, so a change of order or of
+    # the subset shows here
     solution = solve(build_system(PrimeModulus(q), n))
     assert (solution.rows_eliminated, solution.rows_checked, solution.rows_implied) == counts
+    assert solution.rows_eliminated <= q + 1
 
 
 # --- the spanning subset: both row identities, checked without elimination --

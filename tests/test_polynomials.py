@@ -261,8 +261,13 @@ def test_interpolate_interpolates_arbitrary_tables():
 
 
 def test_interpolate_guard():
-    with pytest.raises(RangeGuard):
-        interpolate(lambda pt: 0, PrimeModulus(101), 3)
+    # the work max(n, 1) * p^(n+1) is bounded, not only the p^n points: at
+    # n = 1 the table U alone has p^2 entries
+    for pp, n in ((101, 3), (997, 1), (503, 1), (2, 14)):
+        with pytest.raises(RangeGuard):
+            interpolate(lambda pt: 0, PrimeModulus(pp), n)
+    # (2, 13) is 212 992 products, within the bound, and (2, 14) is not
+    assert interpolate(lambda pt: pt[-1], P2, 13) == MultiPoly.variable(P2, 13, 12)
 
 
 def test_interpolate_zero_variables():
