@@ -16,7 +16,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .distributions import compositions
-from .errors import InvalidSize, RangeGuard
+from .errors import InvalidDistribution, InvalidSize, RangeGuard, SumNotOne
 from .modular import PrimeModulus
 from .verification import VerificationReport
 
@@ -374,12 +374,25 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
 
 
 def entropy_vector(unknowns, p: PrimeModulus) -> tuple:
-    """H_p of every unknown, as a vector: its entries lie in [0, p) and sum to
-    1 mod p, so (sum a_i)^p = 1 mod p² and H_p = (1 - sum a_i^p)/p."""
+    """H_p of every unknown, as a vector.
+
+    An unknown is a tuple of ints in [0, p) summing to 1 mod p, so that
+    (sum a_i)^p = 1 mod p² and H_p = (1 - sum a_i^p)/p.  An entry that is not
+    an int in [0, p) raises `InvalidDistribution` and a tuple that does not sum
+    to 1 mod p raises `SumNotOne`; both are read off the one power sum, since
+    sum a_i^p = sum a_i mod p.
+    """
     q = p.p
     q2 = q * q
-    powers = [pow(a, q, q2) for a in range(q)]
-    return tuple((1 - sum(map(powers.__getitem__, u))) % q2 // q for u in unknowns)
+    power = {a: pow(a, q, q2) for a in range(q)}.__getitem__
+    try:
+        lifted = [(1 - sum(map(power, u))) % q2 for u in unknowns]
+    except (KeyError, TypeError):
+        raise InvalidDistribution(f"an unknown has an entry that is not an int in [0, {q})") from None
+    for v in lifted:
+        if v % q:
+            raise SumNotOne((1 - v) % q, f"an unknown sums to {(1 - v) % q} mod {q}, expected 1")
+    return tuple([v // q for v in lifted])
 
 
 def in_span(vector, solution: SolutionSpace) -> bool:

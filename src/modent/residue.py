@@ -1,16 +1,20 @@
 """Rational distributions and the residue mod p of their real entropy.
 
 Real entropy of a rational distribution is transcendental, so equality of
-real entropies is decided exactly: scale both distributions to a common
-integer denominator t and compare the big-integer products prod r_i^{r_i}
-(with 0^0 = 1).  Equal products imply equal real entropies, and for such
-pairs the entropies mod p agree for every prime p dividing no denominator,
-which is what makes the residue map well defined.
+real entropies is decided exactly: over a common integer denominator t the
+real entropies agree when the products prod r_i^{r_i} (with 0^0 = 1) do.
+Those products are never built.  The numerators both sides share cancel,
+the rest are refined into powers of pairwise coprime integers (factor
+refinement, no factoring), and the products agree when every such power
+has exponent 0.  For pairs of equal real entropy the entropies mod p agree
+for every prime p dividing no denominator, which is what makes the residue
+map well defined.
 """
 
 import sys
+from collections import Counter
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from numbers import Rational
 
 from .distributions import ModDist, entropy
@@ -112,10 +116,10 @@ def scaled_numerators(d: RationalDist, t: int) -> tuple:
     """The integers r_i with d = (r_1/t, ..., r_n/t); t must clear all denominators."""
     nums = []
     for q in d.probs:
-        r = q * t
-        if r.denominator != 1:
+        k, rem = divmod(t, q.denominator)
+        if rem:
             raise NotCommonDenominator(f"{t} is not a common denominator for {q}")
-        nums.append(int(r))
+        nums.append(q.numerator * k)
     return tuple(nums)
 
 
@@ -124,16 +128,76 @@ def power_product(nums) -> int:
     return prod(r**r for r in nums if r != 0)
 
 
+def _refine_into(base: dict, x: int, e: int) -> None:
+    """Multiply the product of b^base[b] by x^e, keeping the keys pairwise coprime.
+
+    A key b sharing g = gcd(x, b) > 1 with x is replaced by the pieces b/g,
+    x/g and g, since b^f x^e = (b/g)^f (x/g)^e g^(e+f); pieces equal to 1
+    and exponents equal to 0 are dropped.
+    """
+    work = [(x, e)]
+    while work:
+        x, e = work.pop()
+        if x == 1 or not e:
+            continue
+        f = base.pop(x, 0)
+        if f:
+            if e + f:
+                base[x] = e + f
+            continue
+        for b in base:
+            g = gcd(x, b)
+            if g > 1:
+                break
+        else:
+            base[x] = e
+            continue
+        f = base.pop(b)
+        work += [(b // g, f), (x // g, e), (g, e + f)]
+
+
+def _coprime_powers(pairs: list) -> dict:
+    """Pairwise coprime b > 1 and nonzero exponents with prod b^e = prod x^e over pairs.
+
+    The halves are refined on their own and then merged: only the keys of
+    one half that share a factor with the other half's product are refined
+    against each other, so most keys are never compared one by one.
+    """
+    if len(pairs) <= 8:
+        base = {}
+        for x, e in pairs:
+            _refine_into(base, x, e)
+        return base
+    half = len(pairs) // 2
+    left, right = _coprime_powers(pairs[:half]), _coprime_powers(pairs[half:])
+    right_product = prod(right)
+    shared = {b: left.pop(b) for b in [b for b in left if gcd(b, right_product) > 1]}
+    if shared:
+        shared_product = prod(shared)
+        for b in [b for b in right if gcd(b, shared_product) > 1]:
+            _refine_into(shared, b, right.pop(b))
+        left.update(shared)
+    left.update(right)
+    return left
+
+
 def real_entropy_equal(a: RationalDist, b: RationalDist) -> bool:
     """Exact decision of H_R(a) = H_R(b).
 
     With a = (r_i/t) and b = (s_j/t) over a common denominator t,
-    t^t e^{-t H_R} equals the product prod r_i^{r_i}, so the two real
-    entropies agree exactly when the integer products agree.  The verdict
-    does not depend on the choice of t.
+    t^t e^{-t H_R} equals prod r_i^{r_i}, so the real entropies agree
+    exactly when prod v^(v c_v) = 1, where c_v counts v among the r_i
+    minus among the s_j.  Shared numerators cancel first, so a permuted
+    pair takes no gcd.  The rest of the product is refined into
+    prod b_k^(e_k) over pairwise coprime b_k > 1, dropping every piece whose
+    exponent reaches 0; pairwise coprime integers above 1 are
+    multiplicatively independent, so the product is 1 exactly when no piece
+    is left.  The verdict does not depend on the choice of t.
     """
     t = lcm(*(q.denominator for q in a.probs), *(q.denominator for q in b.probs))
-    return power_product(scaled_numerators(a, t)) == power_product(scaled_numerators(b, t))
+    counts = Counter(scaled_numerators(a, t))
+    counts.subtract(scaled_numerators(b, t))
+    return not _coprime_powers([(v, v * c) for v, c in counts.items() if c and v > 1])
 
 
 def tensor_rational(a: RationalDist, b: RationalDist) -> RationalDist:

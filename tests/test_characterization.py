@@ -20,7 +20,7 @@ from modent.characterization import (
     spanning_instances,
 )
 from modent.distributions import ModDist, compose, compositions
-from modent.errors import RangeGuard
+from modent.errors import InvalidDistribution, RangeGuard, SumNotOne
 from modent.modular import PrimeModulus
 from oracles import dense_kernel
 
@@ -147,6 +147,17 @@ def test_entropy_zeroes_every_row():
         h = entropy_vector(system.unknowns, p)
         for row in system.rows:
             assert sum(c * h[i] for i, c in row.items()) % p.p == 0
+
+
+def test_entropy_vector_refuses_what_is_not_a_distribution():
+    # 7 and -1 lie outside [0, 5), and (2, 2) sums to 4 mod 5: none is an unknown
+    assert entropy_vector([(1,), (2, 4), (3, 3)], P5) == (0, 4, 3)
+    for bad in ((7,), (-1, 2)):
+        with pytest.raises(InvalidDistribution):
+            entropy_vector([(1,), bad], P5)
+    with pytest.raises(SumNotOne) as err:
+        entropy_vector([(2, 2)], P5)
+    assert err.value.computed_sum == 4
 
 
 def test_solver_matches_brute_force():

@@ -355,3 +355,25 @@ def test_real_eq_command(capsys):
     code, out, _ = run_lines(capsys, "real-eq", "--a", "1/2 1/2", "--b", "1/3 2/3")
     assert code == 0
     assert out["result"] == "false"
+
+
+def test_real_eq_on_large_weights(capsys):
+    # the products prod r^r of 300 weights up to 10^4 have about 19 million
+    # bits; the verdicts must not need them
+    rng = random.Random(314)
+    weights = [rng.randint(1, 10**4) for _ in range(300)]
+    permuted = rng.sample(weights, len(weights))
+    moved = weights[:]
+    moved[weights.index(min(weights))] -= 1
+    moved[weights.index(max(weights))] += 1
+    other = [rng.randint(1, 10**4) for _ in range(300)]
+
+    def verdict(a, b):
+        texts = [" ".join(f"{w}/{sum(ws)}" for w in ws) for ws in (a, b)]
+        code, out, _ = run_lines(capsys, "real-eq", "--a", texts[0], "--b", texts[1])
+        assert code == 0
+        return out["result"]
+
+    assert verdict(weights, permuted) == "true"
+    assert verdict(weights, moved) == "false"
+    assert verdict(weights, other) == "false"

@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import modent
 from modent.distributions import entropy, tensor
@@ -160,6 +162,58 @@ def test_real_entropy_equal_is_an_equivalence_on_samples():
             for c in sample:
                 if real_entropy_equal(a, b) and real_entropy_equal(b, c):
                     assert real_entropy_equal(a, c)
+
+
+# small weights, so that the oracle's products prod r^r stay a few thousand bits
+WEIGHTS = st.lists(st.integers(1, 6), min_size=1, max_size=4)
+PRIMES_TO_50 = tuple(q for q in range(2, 51) if all(q % d for d in range(2, q)))
+
+
+def weighted(weights) -> RationalDist:
+    total = sum(weights)
+    return RationalDist([Fraction(w, total) for w in weights])
+
+
+@st.composite
+def equal_entropy_pairs(draw):
+    """Two distributions of equal real entropy, by one of four constructions."""
+    a = weighted(draw(WEIGHTS))
+    kind = draw(st.sampled_from(("permuted", "padded", "tensors", "eighths")))
+    if kind == "permuted":
+        return a, RationalDist(draw(st.permutations(a.probs)))
+    if kind == "padded":
+        zeros = (Fraction(0),) * draw(st.integers(1, 3))
+        return a, RationalDist(draw(st.permutations(a.probs + zeros)))
+    c = weighted(draw(WEIGHTS))
+    if kind == "tensors":
+        return tensor_rational(a, c), tensor_rational(c, a)
+    return tensor_rational(HALF_EIGHTHS, c), tensor_rational(QUARTERS, c)
+
+
+def product_criterion(a, b) -> bool:
+    t = lcm(*(q.denominator for q in a.probs), *(q.denominator for q in b.probs))
+    return power_product(scaled_numerators(a, t)) == power_product(scaled_numerators(b, t))
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None)
+@given(equal_entropy_pairs(), WEIGHTS.map(weighted), WEIGHTS.map(weighted))
+def test_real_entropy_equal_matches_the_product_criterion(pair, c, d):
+    assert real_entropy_equal(*pair) and product_criterion(*pair)
+    assert real_entropy_equal(c, d) == product_criterion(c, d)
+    assert real_entropy_equal(pair[0], d) == product_criterion(pair[0], d)
+
+
+@seed(SEED + 1)
+@settings(max_examples=40, deadline=None)
+@given(equal_entropy_pairs())
+def test_residue_map_is_well_defined(pair):
+    a, b = pair
+    denominators = lcm(*(q.denominator for q in a.probs + b.probs))
+    for q in PRIMES_TO_50:
+        if denominators % q:
+            report = check_residue_well_defined(a, b, PrimeModulus(q))
+            assert report.passed and not report.data["vacuous"], q
 
 
 def test_check_residue_well_defined_examples():
