@@ -20,12 +20,16 @@ from .errors import InvalidDistribution, InvalidSize, RangeGuard, SumNotOne
 from .modular import PrimeModulus
 from .verification import VerificationReport
 
-# Spanning instances at (2, 14), the largest count of any cell that the
-# former guard, q^(N-1) <= 10^4, accepted.
+# The size guards, with their cost at the limit (one fresh process per cell,
+# 2-core VM, Python 3.11).
+# Bounds the spanning instances, the rows `solve` reads, by their count at
+# (2, 14).  Of the cells at the limit, (347, 3) costs most: 1.4-2.0 s to build,
+# solve and pass `compare_with_entropy`, at 53 MB.
 INSTANCE_GUARD = 241_668
-# The former guard on q^(N-1), kept at N = 2: the kernel there has
-# dimension q, and its dense basis of q vectors of q + 1 entries is the cost.
-UNKNOWN_GUARD = 10**4
+# Bounds q at N = 2, where the kernel has dimension q and its dense basis,
+# q vectors of q + 1 entries, is the cost: (2003, 2) takes 0.4-0.6 s to build,
+# solve and pass `compare_with_entropy`, at 46 MB.
+UNKNOWN_GUARD = 2003
 
 
 def _distributions(p: int, n: int):
@@ -99,7 +103,7 @@ class ChainRuleRows:
         top = self.max_arity
         for n in range(1, top + 1):
             for total in range(n, top + 1):
-                for ks in compositions(total, n, lo=1):
+                for ks in compositions(total, n):
                     yield from self._rows(ks)
 
     def _digits(self, k: int, a: int, shift: int) -> list:

@@ -8,7 +8,8 @@ compose operadically, and H_p satisfies the chain rule
     H(pi o (g^1, ..., g^n)) = H(pi) + sum_i pi_i * H(g^i).
 """
 
-from itertools import repeat
+from itertools import combinations, repeat
+from operator import sub
 
 from .errors import (
     ArityMismatch,
@@ -22,39 +23,16 @@ from .errors import (
 from .modular import PrimeModulus, Residue, as_int, as_ints
 
 
-def compositions(total: int, parts: int, lo: int = 0, hi=None):
-    """Every tuple of `parts` ints in [lo, hi] summing to `total`, in lexicographic order.
+def compositions(total: int, parts: int):
+    """Every tuple of `parts` positive ints summing to `total`, in lexicographic order.
 
-    `hi=None` leaves the parts unbounded above.  Iterative: each step raises
-    the rightmost part that can rise and refills the parts after it as low
-    as they can go.
+    Each is the gaps between 0, `parts - 1` cut points in [1, total) and
+    `total`; there are none unless 1 <= parts <= total.
     """
-    if parts == 0:
-        if total == 0:
-            yield ()
+    if not 1 <= parts <= total:
         return
-    if hi is None:
-        hi = total - (parts - 1) * lo
-    if not parts * lo <= total <= parts * hi:
-        return
-    c, last = [0] * parts, parts - 1
-    i, rest = 0, total  # refill c[i:] to sum to rest
-    while True:
-        for j in range(i, last):
-            c[j] = max(lo, rest - (last - j) * hi)
-            rest -= c[j]
-        c[last] = rest
-        yield tuple(c)
-        # the rightmost part below hi whose tail can still fall by one
-        rest, i = c[last], last - 1
-        while i >= 0 and (c[i] == hi or rest == (last - i) * lo):
-            rest += c[i]
-            i -= 1
-        if i < 0:
-            return
-        c[i] += 1
-        rest -= 1
-        i += 1
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 class _Entries:

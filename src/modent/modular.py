@@ -292,16 +292,6 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
     )
 
 
-def _multiplicative_order(g: int, p2: int, group_order: int) -> int:
-    x, k = g % p2, 1
-    while x != 1:
-        x = x * g % p2
-        k += 1
-        if k > group_order:
-            raise AssertionError("order search overran the group order")
-    return k
-
-
 def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     """Check that every homomorphism (Z/p²Z)^x -> Z/pZ is a multiple of fq.
 
@@ -315,7 +305,6 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     q, p2 = p.p, p.p_squared
     failures = _Failures()
     units = [n for n in range(1, p2) if n % q != 0]
-    group_order = q * (q - 1)
 
     fq = [0] * p2
     for u in units:
@@ -329,17 +318,20 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     if {fq[u] for u in units} != set(range(q)):
         failures.add(["fq is not surjective onto Z/pZ"])
 
-    generator = next(
-        g for g in units if _multiplicative_order(g, p2, group_order) == group_order
-    )
-    # discrete log table with respect to the generator
-    dlog, x = [0] * p2, 1
-    for k in range(group_order):
+    # walk each unit's powers back to 1; the first walk that covers the group
+    # is a generator's, and lists the units by their discrete log
+    for generator in units:
+        powers, x = [1], generator
+        while x != 1:
+            powers.append(x)
+            x = x * generator % p2
+        if len(powers) == len(units):
+            break
+    dlog = [0] * p2
+    for k, x in enumerate(powers):
         dlog[x] = k
-        x = x * generator % p2
     fq_e_inv = pow(fq[generator], -1, q)  # fq(e) generates the image, hence is a unit
 
-    hom_count = 0
     for image in range(q):
         hom = [d * image % q for d in dlog]
         for a in units:
@@ -349,8 +341,6 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
         c = image * fq_e_inv % q
         bad = [u for u in units if hom[u] != c * fq[u] % q]
         failures.add(bad, lambda u: f"candidate with e -> {image} differs from {c}*fq at {u}")
-        hom_count += 1
 
-    data = {"p": q, "generator": generator, "homomorphisms": hom_count,
-            "failures_total": failures.total}
+    data = {"p": q, "generator": generator, "homomorphisms": q, "failures_total": failures.total}
     return VerificationReport("hom_uniqueness", checks, tuple(failures.lines), data)

@@ -323,12 +323,17 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
         raise InvalidPolynomial("n must be nonnegative")
     q = p.p
     inv_factorial = [pow(factorial(r), -1, q) for r in range(q)]
-    terms = {}
-    for exps in compositions(q, n, 0, q - 1):
-        c = q - 1
-        for e in exps:
-            c = c * inv_factorial[e] % q
-        terms[exps] = c
+    # the first n - 1 exponents, variable by variable, each prefix with its
+    # degree d and coefficient -1/prod r!; the last exponent is q - d, which
+    # is below q once d >= 1
+    prefixes = [((), 0, q - 1)] if n else []
+    for _ in range(n - 1):
+        prefixes = [
+            (exps + (e,), d + e, c * inv_factorial[e] % q)
+            for exps, d, c in prefixes
+            for e in range(min(q - d, q - 1) + 1)
+        ]
+    terms = {exps + (q - d,): c * inv_factorial[q - d] % q for exps, d, c in prefixes if d}
     return MultiPoly._canonical(p, n, terms)
 
 
@@ -515,7 +520,7 @@ def identity_reports(p: PrimeModulus, grouping_cap: int) -> dict:
         check_grouping(n, ks, p)
         for total in range(1, grouping_cap + 1)
         for n in range(1, total + 1)
-        for ks in compositions(total, n, lo=1)
+        for ks in compositions(total, n)
     ]
     failures = tuple(f"ks={r.data['ks']}: {f}" for r in grouping for f in r.failures)
     return {

@@ -254,12 +254,14 @@ def test_guard_bounds_the_spanning_instances():
     accepted = [(q, n) for q in primes for n in range(1, 15) if q ** (n - 1) <= 10**4]
     assert max(spanning_instances(q, n) for q, n in accepted) == INSTANCE_GUARD == spanning_instances(2, 14)
     assert len(build_system(P2, 14).unknowns) == 2**14 - 1
-    # at N = 2 the former bound q <= UNKNOWN_GUARD stays; at N = 3 the
-    # spanning count alone bounds q, to 347
+    # at N = 2 q is bounded by UNKNOWN_GUARD, a prime, and 2011 is the next
+    # prime; at N = 3 the spanning count alone bounds q, to 347
     build_system(PrimeModulus(97), 3)
-    for q, n in ((2, 15), (3, 10), (11, 6), (5, 8), (349, 3), (UNKNOWN_GUARD + 7, 2)):
+    assert len(build_system(PrimeModulus(UNKNOWN_GUARD), 2).unknowns) == UNKNOWN_GUARD + 1
+    for q, n in ((2, 15), (3, 10), (11, 6), (5, 8), (349, 3), (2011, 2)):
         with pytest.raises(RangeGuard):
             build_system(PrimeModulus(q), n)
+    assert len(build_system(PrimeModulus(2011), 2, override_guard=True).unknowns) == 2012
     # cells beyond q^(N-1) <= 10^4 with few spanning instances are accepted
     for q, n in ((5, 7), (13, 5), (7, 6), (37, 4), (101, 3), (347, 3)):
         assert spanning_instances(q, n) <= INSTANCE_GUARD
@@ -284,7 +286,7 @@ def deduplicated_rows(q, max_arity):
     rows = set()
     for n in range(1, max_arity + 1):
         for total in range(n, max_arity + 1):
-            for ks in compositions(total, n, lo=1):
+            for ks in compositions(total, n):
                 for pi in pools[n]:
                     for gammas in product(*(pools[k] for k in ks)):
                         composite = tuple(a * y % q for a, g in zip(pi, gammas) for y in g)
@@ -362,7 +364,7 @@ def test_rows_stream_one_row_per_instance():
             q ** (len(ks) - 1) * q ** (total - len(ks))
             for total in range(1, n + 1)
             for parts in range(1, total + 1)
-            for ks in compositions(total, parts, lo=1)
+            for ks in compositions(total, parts)
         )
         assert len(rows) == instances == sum(1 for _ in rows) == sum(1 for _ in rows)
         assert all(row and all(0 < v < q for v in row.values()) for row in rows)
@@ -592,7 +594,7 @@ def test_every_instance_is_a_combination_of_spanning_rows(q, max_arity):
     assert unit_row == {index[(1,)]: q - 1}
     for total in range(1, max_arity + 1):
         for n in range(1, total + 1):
-            for ks in compositions(total, n, lo=1):
+            for ks in compositions(total, n):
                 for _ in range(4):
                     pi = rng.choice(distributions_of(q, n))
                     gammas = tuple(rng.choice(distributions_of(q, k)) for k in ks)

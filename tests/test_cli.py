@@ -1,5 +1,7 @@
 """Tests for the command-line interface: output contract and round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,9 +10,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from modent import cli
-from modent.errors import ParseError, SumNotOne
+from modent.errors import ModentError, ParseError, SumNotOne
 from oracles import random_mod_dist_values, random_rational_dist_fractions
 
 
@@ -377,3 +381,34 @@ def test_real_eq_on_large_weights(capsys):
     assert verdict(weights, permuted) == "true"
     assert verdict(weights, moved) == "false"
     assert verdict(weights, other) == "false"
+
+
+# arbitrary text, and text over the characters the parsers read
+CLI_TEXT = st.one_of(st.text(max_size=30), st.text(alphabet="0123456789:,-+/ .eE_", max_size=30))
+SMALL_INTS = st.one_of(st.sampled_from(["0", "1", "2", "3", "4", "5", "-1"]), CLI_TEXT)
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None)
+@given(CLI_TEXT, SMALL_INTS, SMALL_INTS, st.lists(CLI_TEXT, max_size=9))
+def test_arbitrary_text_raises_only_modent_errors_and_exits_2(text, p, n, values):
+    for parse in (cli.parse_mod_dist, cli.parse_rational_dist):
+        try:
+            parse(text)
+        except ModentError:
+            pass
+    for argv in (
+        ["entropy", text],
+        ["residue", "--p", p, *text.split()],
+        ["interpolate", "--p", p, "--nvars", n, *values],
+    ):
+        code, err = run_quietly(argv)
+        assert code == 0 or (code == 2 and err), (argv, code)
+        assert "Traceback" not in err, argv

@@ -52,20 +52,14 @@ def test_mod_dist_validation():
 
 
 def test_compositions_match_brute_force():
+    # positive parts only: nothing when total < parts, (0, 1) included, and
+    # nothing for parts <= 0, not even () for total = 0
     for total in range(9):
-        for parts in range(6):
-            for lo in (0, 1):
-                for hi in (None, 2, 3):
-                    top = total if hi is None else hi
-                    expected = [
-                        c
-                        for c in product(range(lo, top + 1), repeat=parts)
-                        if sum(c) == total
-                    ]
-                    got = list(compositions(total, parts, lo, hi))
-                    assert got == expected, (total, parts, lo, hi)
-            if total and parts:
-                assert len(list(compositions(total, parts, lo=1))) == comb(total - 1, parts - 1)
+        for parts in range(-1, 7):
+            expected = [c for c in product(range(1, total + 1), repeat=parts) if sum(c) == total] if parts > 0 else []
+            assert list(compositions(total, parts)) == expected, (total, parts)
+            if 1 <= parts <= total:
+                assert len(expected) == comb(total - 1, parts - 1)
 
 
 def test_entropy_examples():

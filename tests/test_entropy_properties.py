@@ -6,7 +6,7 @@ the library.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from modent.distributions import (
@@ -19,7 +19,9 @@ from modent.distributions import (
 from modent.errors import NotMeasurePreserving
 from modent.finprob import (
     FinProbSpace,
+    compose_maps,
     conditional_defect,
+    convex_combine_maps,
     info_loss,
     info_loss_conditional,
     make_map,
@@ -29,6 +31,7 @@ from oracles import entropy_big, measure_entropy_big
 
 PRIMES = (2, 3, 5, 7, 13, 101)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+SEED = 20261019
 
 
 @st.composite
@@ -137,3 +140,57 @@ def test_make_map_rejects_maps_that_are_not_measure_preserving(case, data):
         moved[first],
         codomain[first],
     )
+
+
+@st.composite
+def refinement(draw, p, weights):
+    """(finer weights, fibre_of): one to three finer weights over each weight, summing to it mod p."""
+    finer, fibre_of = [], []
+    for x, w in enumerate(weights):
+        head = draw(st.lists(st.integers(0, p - 1), max_size=2))
+        finer += head + [(w - sum(head)) % p]
+        fibre_of += [x] * (len(head) + 1)
+    return finer, fibre_of
+
+
+def space(p, prefix, weights):
+    return FinProbSpace([f"{prefix}{i}" for i in range(len(weights))], ModDist(p, weights))
+
+
+def fibre_map(domain, codomain, fibre_of):
+    return make_map(domain, codomain, {y: codomain.labels[c] for y, c in zip(domain.labels, fibre_of)})
+
+
+@seed(SEED)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_info_loss_is_functorial(data):
+    # X -> Y -> Z, each fibre of one to three points, zero weights included
+    pp = data.draw(st.sampled_from(PRIMES))
+    p = PrimeModulus(pp)
+    z = data.draw(dist_values(pp, max_len=3))
+    y, y_to_z = data.draw(refinement(pp, z))
+    x, x_to_y = data.draw(refinement(pp, y))
+    sx, sy, sz = space(p, "x", x), space(p, "y", y), space(p, "z", z)
+    f, g = fibre_map(sx, sy, x_to_y), fibre_map(sy, sz, y_to_z)
+    loss = info_loss(compose_maps(g, f)).value
+    assert loss == (info_loss(f).value + info_loss(g).value) % pp
+    assert loss == (entropy_big(x, pp) - entropy_big(z, pp)) % pp
+
+
+@seed(SEED + 1)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_info_loss_is_convex_linear(data):
+    pp = data.draw(st.sampled_from(PRIMES))
+    p = PrimeModulus(pp)
+    weights = data.draw(dist_values(pp, max_len=3))
+    maps, losses = [], []
+    for _ in weights:
+        target = data.draw(dist_values(pp, max_len=3))
+        source, fibre_of = data.draw(refinement(pp, target))
+        maps.append(fibre_map(space(p, "y", source), space(p, "x", target), fibre_of))
+        losses.append(entropy_big(source, pp) - entropy_big(target, pp))
+    loss = info_loss(convex_combine_maps(ModDist(p, weights), maps)).value
+    assert loss == sum(w * info_loss(f).value for w, f in zip(weights, maps)) % pp
+    assert loss == sum(w * v for w, v in zip(weights, losses)) % pp
