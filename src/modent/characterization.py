@@ -23,11 +23,12 @@ from .verification import VerificationReport
 # The size guards, with their cost at the limit (one fresh process per cell,
 # 2-core VM, Python 3.11).
 # Bounds the spanning instances, the rows `solve` reads, by their count at
-# (2, 14).  Of the cells at the limit, (347, 3) costs most: 1.4-2.0 s to build,
-# solve and pass `compare_with_entropy`, at 53 MB.
+# (2, 14).  Of the cells at the limit, (347, 3) costs most: 1.0-1.6 s to build,
+# solve and pass `compare_with_entropy`, at 53 MB; (2, 14) takes 0.25-0.31 s
+# and (41, 4) 0.21-0.31 s, at 20 and 26 MB.
 INSTANCE_GUARD = 241_668
 # Bounds q at N = 2, where the kernel has dimension q and its dense basis,
-# q vectors of q + 1 entries, is the cost: (2003, 2) takes 0.4-0.6 s to build,
+# q vectors of q + 1 entries, is the cost: (2003, 2) takes 0.3-0.5 s to build,
 # solve and pass `compare_with_entropy`, at 46 MB.
 UNKNOWN_GUARD = 2003
 
@@ -146,14 +147,17 @@ class ChainRuleRows:
                 yield {c: v for c, v in row.items() if v}
 
     def spanning(self):
-        """The spanning rows, each as (column, coefficient) terms.
+        """The spanning rows, each as a (composite, pi, a, gamma) quadruple of ints.
 
-        First the unit row, -I(u).  Then, per instance whose only non-unit
-        block gamma sits at slot i of pi, with a = pi_i, the four terms of
-        I(composite) - I(pi) - (1 - a) I(u) - a I(gamma): the other slots'
-        weights sum to 1 - a.  Terms may share a column or be 0.  The
+        A quadruple stands for the row I(composite) - I(pi) - (1 - a) I(u)
+        - a I(gamma), where composite, pi and gamma are columns, gamma is the
+        one non-unit block, at slot i of pi, and a = pi_i: the other slots'
+        weights sum to 1 - a.  Columns may coincide.  First comes the unit
+        row (0, 0, 1, 0), the instance u o (u), which reads -I(u).  The
         composite's column is pi's with the digit a replaced by the digits
-        of a*gamma, so no composite is built.
+        of a*gamma, written in closed form: (a g, a - a g) for
+        gamma = (g, 1 - g), and (a, -a, a) for (1, -1, 1).  So no composite
+        is built.
 
         The kernel does not depend on the order, only the work does: n
         ascending; for n <= 2 gamma of arity 2 before (1, -1, 1), for n >= 3
@@ -163,31 +167,33 @@ class ChainRuleRows:
         of (1, -1, 1) become parameters of `solve`.
         """
         q, offset, top = self.q, self.offset, self.max_arity
-        yield ((0, q - 1),)
+        yield 0, 0, 1, 0
         for n in range(1, top):
             pis = list(enumerate(_distributions(q, n), offset[n]))[::-1]
             for k in (2, 3) if n <= 2 else (3, 2):
                 if n + k - 1 > top:
                     continue
-                if k == 2:
-                    gammas = [(offset[2] + g, (g, 1 - g)) for g in range(q)]
-                else:  # the head (1, q - 1) has base-q value 2q - 1
-                    gammas = [(offset[3] + 2 * q - 1, (1, -1, 1))]
+                # gamma = (0, 1) for k = 2; (1, -1, 1), whose head (1, q - 1)
+                # has base-q value 2q - 1, for k = 3
+                gamma_col = offset[2] if k == 2 else offset[3] + 2 * q - 1
                 base = offset[n + k - 1]
                 for shift in range(n):  # the entries of pi after slot i
+                    # the composite's last entry carries no weight, so the
+                    # last digit of a*gamma counts `low` and the one before it `below`
                     below, above, wide = q**shift, q ** (shift + 1), q ** (k + shift)
+                    low = below // q
                     for pi_col, pi in pis:
                         a = pi[-1 - shift]
                         # pi's base-q value over all n entries, and the
                         # composite's column without the digits of a*gamma
                         value = (pi_col - offset[n]) * q + pi[-1]
                         rest = base + (value // above * wide + value % below) // q
-                        for gamma_col, gamma in gammas:
-                            v = 0
-                            for y in gamma:
-                                v = v * q + a * y % q
-                            comp_col = rest + v * below // q
-                            yield (comp_col, 1), (pi_col, q - 1), (0, (a - 1) % q), (gamma_col, -a % q)
+                        if k == 3:
+                            yield rest + (a * q + -a % q) * below + a * low, pi_col, a, gamma_col
+                        else:
+                            for g in range(q):
+                                ag = a * g % q
+                                yield rest + ag * below + (a - ag) % q * low, pi_col, a, gamma_col + g
 
 
 class ConstraintSystem(NamedTuple):
@@ -270,8 +276,13 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
     none is a constraint, checked if it holds, else eliminated by pivoting
     one parameter into a form over the others.  While the free parameters
     span at most a line, a value is one int, its multiple of the line's
-    parameter.  Once the kernel is {0} no row is read.  Reduced from the
-    right, the parameters' kernel vectors give the canonical basis.
+    parameter, and a spanning quadruple whose pi, u and gamma columns have
+    values is decided by lookup: an undefined composite takes
+    v_pi + (1 - a) v_u + a v_gamma, and a composite that already holds
+    it makes a constraint that held.  Every other row takes the general step on its terms; a
+    hand-built system takes only that.  Once the kernel is {0} no row is
+    read.  Reduced from the right, the parameters' kernel vectors give the
+    canonical basis.
     """
     q = system.p.p
     count = len(system.unknowns)
@@ -302,10 +313,26 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
         value[:] = [v if v is None else {old: v % q} if v % q else {} for v in value]
         return {old: acc % q} if acc % q else {}
 
-    for terms in rows.spanning() if spanning else (row.items() for row in rows):
+    for row in rows.spanning() if spanning else rows:
         if rank == count:
             break
         read += 1
+        if not spanning:
+            terms = row.items()
+        else:
+            comp, pi, a, gamma = row
+            if line:
+                v_pi, v_u, v_gamma = value[pi], value[0], value[gamma]
+                if v_pi is not None and v_u is not None and v_gamma is not None:
+                    target = (v_pi + (1 - a) * v_u + a * v_gamma) % q
+                    v_comp = value[comp]
+                    if v_comp is None:
+                        value[comp] = target
+                        rank += 1
+                        continue
+                    if v_comp == target:
+                        continue
+            terms = (comp, 1), (pi, q - 1), (0, (a - 1) % q), (gamma, -a % q)
         new, acc = {}, 0 if line else {}
         for j, c in terms:
             v = value[j]

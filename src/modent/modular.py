@@ -12,14 +12,18 @@ exponentiation, so no big-integer towers arise for large a.
 """
 
 from .errors import DivisibleByP, InvalidResidue, ModulusMismatch, NotPrime, RangeGuard
-from .verification import VerificationReport
+from .verification import Failures, VerificationReport
 
 # Deterministic witness set: correct for every n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-VERIFIER_PRIME_GUARD = 97
-FAILURE_SAMPLES = 20  # failure lines a verifier keeps; data["failures_total"] counts all
+# Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5.
+# At the limit `verify_fq_laws` takes 0.5-0.7 s and `verify_hom_uniqueness`
+# 2.4-3.2 s, at 15 MB (one fresh process, 2-core VM, Python 3.11); p = 37
+# takes 0.9 s and 6.1 s, and p = 97, the bound before, about 21 minutes
+# (extrapolated).
+VERIFIER_PRIME_GUARD = 31
 
 
 def is_prime(n: int) -> bool:
@@ -247,19 +251,6 @@ def _check_guard(p: PrimeModulus):
         raise RangeGuard(f"exhaustive verifier capped at p <= {VERIFIER_PRIME_GUARD}, got {p.p}")
 
 
-class _Failures:
-    """The first FAILURE_SAMPLES failure lines of a verifier, and the count of all."""
-
-    def __init__(self):
-        self.lines, self.total = [], 0
-
-    def add(self, items, line_of=str):
-        """Count one failure per item; keep line_of(item) while there is room."""
-        self.total += len(items)
-        room = max(FAILURE_SAMPLES - len(self.lines), 0)
-        self.lines += [line_of(x) for x in items[:room]]
-
-
 def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
     """Exhaustively check the three elementary laws of the Fermat quotient.
 
@@ -270,7 +261,7 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
     """
     _check_guard(p)
     q, p2 = p.p, p.p_squared
-    failures = _Failures()
+    failures = Failures()
     units = [n for n in range(1, p2 + 1) if n % q != 0]
     fq = {n: _fq(n, q, p2) for n in units}
 
@@ -303,7 +294,7 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     """
     _check_guard(p)
     q, p2 = p.p, p.p_squared
-    failures = _Failures()
+    failures = Failures()
     units = [n for n in range(1, p2) if n % q != 0]
 
     fq = [0] * p2

@@ -26,7 +26,7 @@ from .errors import (
     RangeGuard,
 )
 from .modular import PrimeModulus, Residue
-from .verification import VerificationReport
+from .verification import Failures, VerificationReport
 
 IDENTITY_PRIME_GUARD = 31
 GROUPING_SIZE_GUARD = 6
@@ -514,7 +514,8 @@ def identity_reports(p: PrimeModulus, grouping_cap: int) -> dict:
     """Every identity check at p, by name, starting with "grouping".
 
     The grouping report aggregates check_grouping over all 2^cap - 1 block
-    shapes with positive blocks and total size <= grouping_cap.
+    shapes with positive blocks and total size <= grouping_cap; it keeps the
+    first FAILURE_SAMPLES failure lines and counts all in data["failures_total"].
     """
     grouping = [
         check_grouping(n, ks, p)
@@ -522,11 +523,12 @@ def identity_reports(p: PrimeModulus, grouping_cap: int) -> dict:
         for n in range(1, total + 1)
         for ks in compositions(total, n)
     ]
-    failures = tuple(f"ks={r.data['ks']}: {f}" for r in grouping for f in r.failures)
+    failures = Failures()
+    for r in grouping:
+        failures.add(r.failures, lambda f: f"ks={r.data['ks']}: {f}")
+    data = {"p": p.p, "grouping_cap": grouping_cap, "failures_total": failures.total}
     return {
-        "grouping": VerificationReport(
-            "grouping", len(grouping), failures, {"p": p.p, "grouping_cap": grouping_cap}
-        ),
+        "grouping": VerificationReport("grouping", len(grouping), tuple(failures.lines), data),
         "cocycle": check_cocycle(p),
         "pounds1_formula": check_pounds1_formula(p),
         "pounds1_symmetry": check_symmetry_pounds1(p),

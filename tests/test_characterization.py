@@ -425,7 +425,7 @@ def test_kernel_line_checks_yield_exactly_the_violated_rows():
     for p, n in ((P2, 5), (P3, 4), (P5, 3)):
         q = p.p
         system = build_system(p, n)
-        spanning = [as_row(q, terms) for terms in system.rows.spanning()]
+        spanning = [as_row(q, row) for row in system.rows.spanning()]
         assert Counter(map(frozen, spanning)) == Counter(map(frozen, spanning_rows(q, n)))
         count = len(system.unknowns)
         h = entropy_vector(system.unknowns, p)
@@ -474,6 +474,22 @@ def test_row_counts_are_pinned(q, n, counts):
     assert solution.rows_eliminated <= q + 1
 
 
+FAST_CELLS = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 11) if spanning_instances(p, n) <= 20_000]
+
+
+@pytest.mark.parametrize("p,n", FAST_CELLS, ids=[f"p{p}-N{n}" for p, n in FAST_CELLS])
+def test_fast_step_on_the_line_matches_the_general_step(p, n):
+    # solve decides most spanning quadruples on the kernel line by lookup; the
+    # same rows expanded to dicts take only the general step, so every count,
+    # not just the kernel, must agree, under-determined cells included
+    system = build_system(PrimeModulus(p), n)
+    expanded = tuple(as_row(p, row) for row in system.rows.spanning())
+    fast = solve(system)
+    general = solve(ConstraintSystem(system.p, n, system.unknowns, expanded))
+    assert (fast.basis, fast.free_columns) == (general.basis, general.free_columns)
+    assert (fast.rows_eliminated, fast.rows_checked) == (general.rows_eliminated, general.rows_checked)
+
+
 # --- the spanning subset: both row identities, checked without elimination --
 
 
@@ -506,11 +522,14 @@ def frozen(row):
     return frozenset(row.items())
 
 
-def as_row(q, terms):
-    """A row given as (column, coefficient) terms, as a dict without zero entries."""
-    row = Counter()
-    for c, v in terms:
-        row[c] += v
+def as_row(q, quadruple):
+    """A spanning row (composite, pi, a, gamma), expanded to the dict of
+    I(composite) - I(pi) - (1 - a) I(u) - a I(gamma) without zero entries."""
+    composite, pi, a, gamma = quadruple
+    row = Counter({composite: 1})
+    row[pi] -= 1
+    row[0] -= 1 - a
+    row[gamma] -= a
     return {c: v % q for c, v in row.items() if v % q}
 
 
@@ -542,7 +561,7 @@ def test_spanning_rows_come_in_the_documented_order():
                         for pi in reversed(distributions_of(q, n)):
                             expected += [instance_row(q, index, pi, single(pi, j, g)) for g in gammas]
         rows = build_system(PrimeModulus(q), max_arity).rows.spanning()
-        assert [as_row(q, terms) for terms in rows] == expected
+        assert [as_row(q, row) for row in rows] == expected
 
 
 def split(q, gamma):

@@ -6,6 +6,7 @@ import pytest
 
 from modent.errors import DivisibleByP, ModentError, ModulusMismatch, NotPrime, RangeGuard
 from modent.modular import (
+    VERIFIER_PRIME_GUARD,
     LiftedResidue,
     PrimeModulus,
     Residue,
@@ -16,6 +17,7 @@ from modent.modular import (
     verify_fq_laws,
     verify_hom_uniqueness,
 )
+from modent.verification import FAILURE_SAMPLES
 from oracles import fq_big, pderiv_big
 
 P3 = PrimeModulus(3)
@@ -23,6 +25,9 @@ P5 = PrimeModulus(5)
 P7 = PrimeModulus(7)
 
 SEED = 20260811
+
+# the first prime the exhaustive verifiers refuse
+ABOVE_VERIFIER_GUARD = next(n for n in range(VERIFIER_PRIME_GUARD + 1, 2 * VERIFIER_PRIME_GUARD + 1) if is_prime(n))
 
 
 def test_prime_modulus_accepts_primes():
@@ -203,8 +208,9 @@ def test_verify_fq_laws_passes():
 
 
 def test_verify_fq_laws_guard():
-    with pytest.raises(RangeGuard):
-        verify_fq_laws(PrimeModulus(101))
+    for pp in (ABOVE_VERIFIER_GUARD, 101):
+        with pytest.raises(RangeGuard):
+            verify_fq_laws(PrimeModulus(pp))
 
 
 def test_verify_hom_uniqueness_passes():
@@ -215,8 +221,16 @@ def test_verify_hom_uniqueness_passes():
 
 
 def test_verify_hom_uniqueness_guard():
-    with pytest.raises(RangeGuard):
-        verify_hom_uniqueness(PrimeModulus(103))
+    for pp in (ABOVE_VERIFIER_GUARD, 103):
+        with pytest.raises(RangeGuard):
+            verify_hom_uniqueness(PrimeModulus(pp))
+
+
+def test_verify_core_cli_exits_2_above_the_guard(capsys):
+    from modent import cli
+
+    assert cli.run(["verify-core", "--p", str(ABOVE_VERIFIER_GUARD)]) == 2
+    assert f"capped at p <= {VERIFIER_PRIME_GUARD}" in capsys.readouterr().err
 
 
 def test_residue_equals_and_hashes_like_its_value_only():
@@ -260,7 +274,7 @@ def test_verifiers_cap_failure_lines_and_count_every_failure(monkeypatch):
         u = pp * pp - pp
         laws = verify_fq_laws(p)
         assert not laws.passed
-        assert len(laws.failures) == modular.FAILURE_SAMPLES == 20
+        assert len(laws.failures) == FAILURE_SAMPLES == 20
         assert laws.data["failures_total"] == 1 + u * u
         assert laws.failures[:2] == ("fq(1) = 1 != 0", "fq(1*1) != fq(1) + fq(1)")
         assert laws.checks == 1 + u * u + u * pp + u

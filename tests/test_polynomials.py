@@ -306,8 +306,26 @@ def test_check_grouping_guards():
 def test_identity_reports_beyond_13(pp):
     reports = identity_reports(PrimeModulus(pp), 4)
     assert reports["grouping"].checks == 15
+    assert reports["grouping"].data["failures_total"] == 0
     for name, report in reports.items():
         assert report.passed, (pp, name, report.failures)
+
+
+def test_identity_reports_cap_grouping_failure_lines(monkeypatch):
+    import modent.polynomials as polynomials
+    from modent.verification import FAILURE_SAMPLES, VerificationReport
+
+    def failing(n, ks, p):
+        return VerificationReport("grouping", 1, ("difference has 1 nonzero terms",), {"ks": tuple(ks)})
+
+    monkeypatch.setattr(polynomials, "check_grouping", failing)
+    grouping = identity_reports(P3, 6)["grouping"]
+    # 2^6 - 1 block shapes fail, the first FAILURE_SAMPLES of them are kept
+    assert grouping.checks == 63 and grouping.data["failures_total"] == 63
+    assert len(grouping.failures) == FAILURE_SAMPLES == 20
+    assert grouping.failures[0] == "ks=(1,): difference has 1 nonzero terms"
+    under_cap = identity_reports(P3, 4)["grouping"]
+    assert len(under_cap.failures) == under_cap.data["failures_total"] == 15
 
 
 def test_check_poly_chain_rule():
