@@ -116,11 +116,14 @@ def make_map(domain: FinProbSpace, codomain: FinProbSpace, mapping) -> MPMap:
     for y in domain.labels:
         if y not in mapping:
             raise UnknownLabel(f"no image for domain label {y!r}")
-    for y, x in mapping.items():
-        if y not in domain._index:
-            raise UnknownLabel(f"{y!r} is not a domain label")
-        if x not in codomain._index:
-            raise UnknownLabel(f"{x!r} is not a codomain label")
+    try:
+        for y, x in mapping.items():
+            if y not in domain._index:
+                raise UnknownLabel(f"{y!r} is not a domain label")
+            if x not in codomain._index:
+                raise UnknownLabel(f"{x!r} is not a codomain label")
+    except TypeError:  # an unhashable image, such as a list or an object from JSON
+        raise UnknownLabel(f"{x!r} is not a codomain label") from None
     p = domain.p.p
     for x, (expected, fibre) in zip(codomain.labels, _fibres(domain, codomain, mapping)):
         if sum(fibre) % p != expected:

@@ -19,9 +19,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5.
-# At the limit `verify_fq_laws` takes 0.5-0.7 s and `verify_hom_uniqueness`
-# 2.4-3.2 s, at 15 MB (one fresh process, 2-core VM, Python 3.11); p = 37
-# takes 0.9 s and 6.1 s, and p = 97, the bound before, about 21 minutes
+# At the limit `verify_fq_laws` takes 0.12-0.16 s and `verify_hom_uniqueness`
+# 3.6-4.1 s, at 15 MB (one fresh process, 2-core VM, Python 3.11); p = 37
+# takes 0.3 s and 7.5-10.5 s, and p = 97, the bound before, about 21 minutes
 # (extrapolated).
 VERIFIER_PRIME_GUARD = 31
 
@@ -246,32 +246,40 @@ def fq_section(r: Residue) -> LiftedResidue:
     return LiftedResidue(1 - r.value * p.p, p)
 
 
-def _check_guard(p: PrimeModulus):
+def _verifier_tables(p: PrimeModulus) -> tuple:
+    """q, p², the units in [1, p²) and fq as a list over [0, p²) that is 0 off the units."""
     if p.p > VERIFIER_PRIME_GUARD:
         raise RangeGuard(f"exhaustive verifier capped at p <= {VERIFIER_PRIME_GUARD}, got {p.p}")
+    q, p2 = p.p, p.p_squared
+    units = [n for n in range(1, p2) if n % q != 0]
+    return q, p2, units, [_fq(n, q, p2) if n % q else 0 for n in range(p2)]
+
+
+def _add_non_additive(failures: Failures, f: list, units: list, q: int, line_of) -> None:
+    """Add each unit pair with f(ab mod p²) != f(a) + f(b) mod q, row by row, as line_of(a, b)."""
+    p2 = len(f)
+    for a in units:
+        fa = f[a]
+        bad = [b for b in units if f[a * b % p2] != (fa + f[b]) % q]
+        failures.add(bad, lambda b: line_of(a, b))
 
 
 def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
     """Exhaustively check the three elementary laws of the Fermat quotient.
 
-    For all m, n in [1, p²] coprime to p and all r in [0, p):
+    For all m, n in [1, p²) coprime to p and all r in [0, p):
       1. fq(mn) = fq(m) + fq(n), and fq(1) = 0;
       2. fq(n + rp) = fq(n) - r/n;
       3. fq(n + p²) = fq(n).
+    Law 1 reads fq(mn mod p²) from the table, which law 3 ties to fq beyond p².
     """
-    _check_guard(p)
-    q, p2 = p.p, p.p_squared
+    q, p2, units, fq = _verifier_tables(p)
     failures = Failures()
-    units = [n for n in range(1, p2 + 1) if n % q != 0]
-    fq = {n: _fq(n, q, p2) for n in units}
 
     checks = 1 + len(units) * (len(units) + q + 1)  # fq(1), then per (m, n), (n, r) and n
     if fq[1] != 0:
         failures.add([f"fq(1) = {fq[1]} != 0"])
-    for m in units:
-        fm = fq[m]
-        bad = [n for n in units if _fq(m * n, q, p2) != (fm + fq[n]) % q]
-        failures.add(bad, lambda n: f"fq({m}*{n}) != fq({m}) + fq({n})")
+    _add_non_additive(failures, fq, units, q, lambda m, n: f"fq({m}*{n}) != fq({m}) + fq({n})")
     for n in units:
         fn, inv_n = fq[n], pow(n, -1, q)
         bad = [r for r in range(q) if _fq(n + r * q, q, p2) != (fn - r * inv_n) % q]
@@ -289,23 +297,14 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     Finds a generator e of the (cyclic) unit group, enumerates the p
     homomorphisms determined by the possible images of e, and checks each
     one agrees pointwise with c*fq for c = image/fq(e).  Also checks that
-    fq itself is a surjective homomorphism.  Each map is a list over
-    [0, p²), and the pair checks run one row at a time.
+    fq itself is a surjective homomorphism.
     """
-    _check_guard(p)
-    q, p2 = p.p, p.p_squared
+    q, p2, units, fq = _verifier_tables(p)
     failures = Failures()
-    units = [n for n in range(1, p2) if n % q != 0]
 
-    fq = [0] * p2
-    for u in units:
-        fq[u] = _fq(u, q, p2)
     # per pair and once for surjectivity, then per pair and per unit for each image
     checks = len(units) ** 2 + 1 + q * (len(units) ** 2 + len(units))
-    for a in units:
-        fa = fq[a]
-        bad = [b for b in units if fq[a * b % p2] != (fa + fq[b]) % q]
-        failures.add(bad, lambda b: f"fq not a homomorphism at ({a}, {b})")
+    _add_non_additive(failures, fq, units, q, lambda a, b: f"fq not a homomorphism at ({a}, {b})")
     if {fq[u] for u in units} != set(range(q)):
         failures.add(["fq is not surjective onto Z/pZ"])
 
@@ -325,10 +324,8 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
 
     for image in range(q):
         hom = [d * image % q for d in dlog]
-        for a in units:
-            ha = hom[a]
-            bad = [b for b in units if hom[a * b % p2] != (ha + hom[b]) % q]
-            failures.add(bad, lambda b: f"candidate with e -> {image} is not a homomorphism")
+        line = f"candidate with e -> {image} is not a homomorphism"
+        _add_non_additive(failures, hom, units, q, lambda a, b: line)
         c = image * fq_e_inv % q
         bad = [u for u in units if hom[u] != c * fq[u] % q]
         failures.add(bad, lambda u: f"candidate with e -> {image} differs from {c}*fq at {u}")

@@ -123,11 +123,6 @@ def scaled_numerators(d: RationalDist, t: int) -> tuple:
     return tuple(nums)
 
 
-def power_product(nums) -> int:
-    """prod r^r over the entries, with the convention 0^0 = 1."""
-    return prod(r**r for r in nums if r != 0)
-
-
 def _refine_into(base: dict, x: int, e: int) -> None:
     """Multiply the product of b^base[b] by x^e, keeping the keys pairwise coprime.
 

@@ -45,6 +45,11 @@ def entropy_poly_terms(n: int, p: int) -> dict:
     return terms
 
 
+def power_product(nums) -> int:
+    """prod r^r over the entries, with the convention 0^0 = 1."""
+    return prod(r**r for r in nums if r != 0)
+
+
 def real_entropy_equal_big(a, b) -> bool:
     """Product criterion evaluated from scratch on tuples of Fractions."""
     t = lcm(*(q.denominator for q in a), *(q.denominator for q in b))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from modent import cli
+from modent import cli, finprob
 from modent.errors import ModentError, ParseError, SumNotOne
 from oracles import random_mod_dist_values, random_rational_dist_fractions
 
@@ -304,8 +304,10 @@ GOOD_SPACE = {"p": 3, "labels": ["x"], "probs": [1]}
             "mapping": {"a": "x"},
         },
         [GOOD_SPACE, GOOD_SPACE],
+        {"domain": {"p": 3, "labels": ["a"], "probs": [1]}, "codomain": GOOD_SPACE, "mapping": {"a": ["x"]}},
+        {"domain": {"p": 3, "labels": ["a"], "probs": [1]}, "codomain": GOOD_SPACE, "mapping": {"a": {"y": 1}}},
     ],
-    ids=["no-probs", "labels-not-a-list", "top-level-list"],
+    ids=["no-probs", "labels-not-a-list", "top-level-list", "image-a-list", "image-an-object"],
 )
 def test_loss_command_rejects_malformed_json(tmp_path, capsys, payload):
     path = tmp_path / "malformed.json"
@@ -412,3 +414,42 @@ def test_arbitrary_text_raises_only_modent_errors_and_exits_2(text, p, n, values
         code, err = run_quietly(argv)
         assert code == 0 or (code == 2 and err), (argv, code)
         assert "Traceback" not in err, argv
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=4),
+    max_leaves=8,
+)
+# a valid map, {"a", "b"} onto {"x"}, and the path of each field it has
+LOSS_PAYLOAD = {
+    "domain": {"p": 3, "labels": ["a", "b"], "probs": [2, 2]},
+    "codomain": {"p": 3, "labels": ["x"], "probs": [1]},
+    "mapping": {"a": "x", "b": "x"},
+}
+LOSS_FIELDS = [(key,) for key in LOSS_PAYLOAD] + [
+    (key, field) for key, value in LOSS_PAYLOAD.items() for field in value
+]
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(LOSS_FIELDS), JSON), min_size=1, max_size=3))
+def test_arbitrary_json_through_loss_raises_only_modent_errors_and_exits_2(tmp_path_factory, edits):
+    payload = json.loads(json.dumps(LOSS_PAYLOAD))
+    for path, value in edits:
+        target = payload
+        for key in path[:-1]:
+            if not isinstance(target.get(key), dict):
+                target[key] = {}
+            target = target[key]
+        target[path[-1]] = value
+    try:
+        finprob.map_from_dict(payload)
+    except ModentError:
+        pass
+    path = tmp_path_factory.mktemp("loss") / "map.json"
+    path.write_text(json.dumps(payload))
+    code, err = run_quietly(["loss", str(path)])
+    assert code == 0 or (code == 2 and err), (payload, code)
+    assert "Traceback" not in err, payload

@@ -1,7 +1,8 @@
 """Every library check on sizes, counts and pairings raises a typed error.
 
 Each error is a `ModentError` and, as the bare `ValueError` it replaced, a
-`ValueError`, so older `except ValueError` clauses still catch it.
+`ValueError`, so older `except ValueError` clauses still catch it; an
+unknown label is a `KeyError`, as the failed lookup it stands for.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from modent.errors import (
     InvalidSize,
     ModentError,
     NotCommonDenominator,
+    UnknownLabel,
 )
 from modent.finprob import FinProbSpace, convex_combine_maps, make_map
 from modent.modular import PrimeModulus
@@ -27,9 +29,12 @@ from modent.residue import RationalDist, scaled_numerators
 P3 = PrimeModulus(3)
 
 
+def _point():
+    return FinProbSpace(("a",), ModDist(P3, (1,)))
+
+
 def _identity_map():
-    space = FinProbSpace(("a",), ModDist(P3, (1,)))
-    return make_map(space, space, {"a": "a"})
+    return make_map(_point(), _point(), {"a": "a"})
 
 
 CASES = {
@@ -38,6 +43,7 @@ CASES = {
     "pad_zeros": (InvalidSize, lambda: pad_zeros(ModDist(P3, (1,)), 0, -1)),
     "FinProbSpace labels": (DuplicateLabel, lambda: FinProbSpace(("a", "a"), ModDist(P3, (2, 2)))),
     "FinProbSpace count": (ArityMismatch, lambda: FinProbSpace(("a",), ModDist(P3, (2, 2)))),
+    "make_map unhashable image": (UnknownLabel, lambda: make_map(_point(), _point(), {"a": ["a"]})),
     "convex_combine_maps": (ArityMismatch, lambda: convex_combine_maps(ModDist(P3, (1,)), [_identity_map()] * 2)),
     "scaled_numerators": (NotCommonDenominator, lambda: scaled_numerators(RationalDist([Fraction(1, 3)] * 3), 2)),
     "MultiPoly.__pow__": (InvalidPolynomial, lambda: MultiPoly.variable(P3, 1, 0) ** -1),
@@ -53,7 +59,8 @@ def test_size_and_pairing_errors_are_typed_value_errors(name):
     error, call = CASES[name]
     with pytest.raises(error) as info:
         call()
-    assert isinstance(info.value, ModentError) and isinstance(info.value, ValueError)
+    builtin = KeyError if error is UnknownLabel else ValueError
+    assert isinstance(info.value, ModentError) and isinstance(info.value, builtin)
 
 
 def test_cli_reports_typed_errors_with_exit_2(capsys):

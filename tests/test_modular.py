@@ -17,7 +17,7 @@ from modent.modular import (
     verify_fq_laws,
     verify_hom_uniqueness,
 )
-from modent.verification import FAILURE_SAMPLES
+from modent.verification import FAILURE_SAMPLES, Failures
 from oracles import fq_big, pderiv_big
 
 P3 = PrimeModulus(3)
@@ -287,6 +287,34 @@ def test_verifiers_cap_failure_lines_and_count_every_failure(monkeypatch):
         assert homs.data["failures_total"] == u * u + (pp - 1) * (u - (pp - 1))
         assert homs.failures[0] == "fq not a homomorphism at (1, 1)"
         assert homs.checks == u * u + 1 + pp * (u * u + u)
+        if pp == 3:
+            units = (1, 2, 4, 5, 7, 8)
+            pairs = [(a, b) for a in units for b in units]
+            assert laws.failures == ("fq(1) = 1 != 0",) + tuple(
+                f"fq({a}*{b}) != fq({a}) + fq({b})" for a, b in pairs[:19]
+            )
+            assert homs.failures == tuple(f"fq not a homomorphism at ({a}, {b})" for a, b in pairs[:20])
+
+
+def test_additivity_check_counts_every_broken_pair_and_keeps_its_lines():
+    import modent.modular as modular
+
+    _, p2, units, fq = modular._verifier_tables(P5)
+    failures = Failures()
+    modular._add_non_additive(failures, fq, units, 5, lambda a, b: f"{a}*{b}")
+    assert failures.total == 0 and failures.lines == []
+
+    # fq + 1 at the one unit c = 7 breaks (a, b) unless the 7s among ab, a and
+    # b cancel: the 18 pairs with ab = 7 and a, b != 7, the 18 with a = 7 and
+    # b not in {1, 7}, the 18 with b = 7 and a not in {1, 7}, and (7, 7)
+    planted = list(fq)
+    planted[7] = (planted[7] + 1) % 5
+    modular._add_non_additive(failures, planted, units, 5, lambda a, b: f"{a}*{b}")
+    u = len(units)
+    assert failures.total == 3 * (u - 2) + 1 == 55
+    broken = [(a, b) for a in units for b in units if (a * b % p2 == 7) - (a == 7) - (b == 7)]
+    assert len(failures.lines) == FAILURE_SAMPLES
+    assert failures.lines == [f"{a}*{b}" for a, b in broken[:FAILURE_SAMPLES]]
 
 
 def test_verifiers_report_zero_failures_total_when_they_pass():

@@ -18,7 +18,6 @@ from modent.modular import PrimeModulus
 from modent.residue import (
     RationalDist,
     check_residue_well_defined,
-    power_product,
     real_entropy_equal,
     reduce_mod,
     residue_additive,
@@ -26,7 +25,7 @@ from modent.residue import (
     scaled_numerators,
     tensor_rational,
 )
-from oracles import random_rational_dist_fractions, real_entropy_equal_big
+from oracles import power_product, random_rational_dist_fractions, real_entropy_equal_big
 
 P2 = PrimeModulus(2)
 P3 = PrimeModulus(3)
