@@ -12,7 +12,7 @@ The system is never stored: its rows are generated on demand, and `solve`
 substitutes only a spanning subset of them (see `ChainRuleRows.spanning`).
 """
 
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .distributions import compositions
@@ -85,8 +85,9 @@ class ChainRuleRows:
 
     Columns are computed, not looked up: Pi_n occupies the columns from
     offset[n] on in `_distributions` order, so a distribution's column is
-    offset[n] plus the base-q value of its first n-1 entries, and the
-    composite's value is a sum of its blocks' scaled digit values.
+    offset[n] plus the base-q value of its first n-1 entries.  A composite
+    of arity K takes offset[K] plus the sum of its blocks' base-q values,
+    each times q^(entries after the block), with the last digit dropped.
     """
 
     def __init__(self, q: int, max_arity: int):
@@ -95,56 +96,40 @@ class ChainRuleRows:
         self.offset = [0, 0]
         for n in range(1, max_arity + 1):
             self.offset.append(self.offset[-1] + q ** (n - 1))
-        self._digit_values = {}
 
     def __len__(self) -> int:
         return sum((2 * self.q) ** (k - 1) for k in range(1, self.max_arity + 1))
 
     def __iter__(self):
-        top = self.max_arity
+        q, offset, top = self.q, self.offset, self.max_arity
+        blocks = {}  # (k, a) -> [(column of gamma, base-q value of a*gamma) for gamma in Pi_k]
         for n in range(1, top + 1):
+            pis = list(enumerate(_distributions(q, n), offset[n]))
             for total in range(n, top + 1):
                 for ks in compositions(total, n):
-                    yield from self._rows(ks)
-
-    def _digits(self, k: int, a: int, shift: int) -> list:
-        """Column contribution of the block a*gamma, for every gamma of Pi_k.
-
-        The block's k digits sit `shift` digits above the composite's last
-        entry, which carries no weight in the column.
-        """
-        key = (k, a, shift)
-        values = self._digit_values.get(key)
-        if values is None:
-            q = self.q
-            values = []
-            for gamma in _distributions(q, k):
-                v = 0
-                for y in gamma:
-                    v = v * q + a * y % q
-                values.append(v * q**shift // q)
-            self._digit_values[key] = values
-        return values
-
-    def _rows(self, ks):
-        """One row per instance of shape (k_1, ..., k_n), pi by pi."""
-        q, offset = self.q, self.offset
-        blocks, shift = [], sum(ks)
-        for k in ks:
-            shift -= k
-            blocks.append((k, range(offset[k], offset[k + 1]), shift))
-        base = offset[sum(ks)]
-        for pi_col, pi in enumerate(_distributions(q, len(ks)), offset[len(ks)]):
-            choices = [zip(cols, self._digits(k, a, shift)) for a, (k, cols, shift) in zip(pi, blocks)]
-            for choice in product(*choices):
-                row = {pi_col: q - 1}
-                comp = base
-                for a, (col, digit) in zip(pi, choice):
-                    comp += digit
-                    if a:
-                        row[col] = (row.get(col, 0) - a) % q
-                row[comp] = (row.get(comp, 0) + 1) % q
-                yield {c: v for c, v in row.items() if v}
+                    scales = [q ** (total - end) for end in accumulate(ks)]
+                    for pi_col, pi in pis:
+                        choices = []
+                        for k, a in zip(ks, pi):
+                            table = blocks.get((k, a))
+                            if table is None:
+                                table = blocks[k, a] = []
+                                for col, gamma in enumerate(_distributions(q, k), offset[k]):
+                                    v = 0
+                                    for y in gamma:
+                                        v = v * q + a * y % q
+                                    table.append((col, v))
+                            choices.append(table)
+                        for choice in product(*choices):
+                            row = {pi_col: q - 1}
+                            comp = 0
+                            for a, (col, v), scale in zip(pi, choice, scales):
+                                comp += v * scale
+                                if a:
+                                    row[col] = (row.get(col, 0) - a) % q
+                            comp = offset[total] + comp // q
+                            row[comp] = (row.get(comp, 0) + 1) % q
+                            yield {c: v for c, v in row.items() if v}
 
     def spanning(self):
         """The spanning rows, each as a (composite, pi, a, gamma) quadruple of ints.
@@ -153,7 +138,8 @@ class ChainRuleRows:
         - a I(gamma), where composite, pi and gamma are columns, gamma is the
         one non-unit block, at slot i of pi, and a = pi_i: the other slots'
         weights sum to 1 - a.  Columns may coincide.  First comes the unit
-        row (0, 0, 1, 0), the instance u o (u), which reads -I(u).  The
+        row (0, 0, 1, 0), the instance u o (u), which reads -I(u) and so
+        fixes I(u) = 0: `solve` reads every later row in three terms.  The
         composite's column is pi's with the digit a replaced by the digits
         of a*gamma, written in closed form: (a g, a - a g) for
         gamma = (g, 1 - g), and (a, -a, a) for (1, -1, 1).  So no composite
@@ -276,13 +262,16 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
     none is a constraint, checked if it holds, else eliminated by pivoting
     one parameter into a form over the others.  While the free parameters
     span at most a line, a value is one int, its multiple of the line's
-    parameter, and a spanning quadruple whose pi, u and gamma columns have
-    values is decided by lookup: an undefined composite takes
-    v_pi + (1 - a) v_u + a v_gamma, and a composite that already holds
-    it makes a constraint that held.  Every other row takes the general step on its terms; a
-    hand-built system takes only that.  Once the kernel is {0} no row is
-    read.  Reduced from the right, the parameters' kernel vectors give the
-    canonical basis.
+    parameter.  The unit row, read first, fixes I(u) = 0, and column 0
+    never becomes a parameter (its value is 0, or {} as a form), so a
+    spanning quadruple is read as I(composite) - I(pi) - a I(gamma).  On
+    the line, one whose pi and gamma columns have values is decided by
+    lookup: an undefined composite takes v_pi + a v_gamma, and a composite
+    that already holds it makes a constraint that held.  Every other row
+    takes the general step on its terms; a hand-built system, where
+    column 0 is nothing special, takes only that.  Once the kernel is {0}
+    no row is read.  Reduced from the right, the parameters' kernel vectors
+    give the canonical basis.
     """
     q = system.p.p
     count = len(system.unknowns)
@@ -322,9 +311,9 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
         else:
             comp, pi, a, gamma = row
             if line:
-                v_pi, v_u, v_gamma = value[pi], value[0], value[gamma]
-                if v_pi is not None and v_u is not None and v_gamma is not None:
-                    target = (v_pi + (1 - a) * v_u + a * v_gamma) % q
+                v_pi, v_gamma = value[pi], value[gamma]
+                if v_pi is not None and v_gamma is not None:
+                    target = (v_pi + a * v_gamma) % q
                     v_comp = value[comp]
                     if v_comp is None:
                         value[comp] = target
@@ -332,7 +321,7 @@ def solve(system: ConstraintSystem) -> SolutionSpace:
                         continue
                     if v_comp == target:
                         continue
-            terms = (comp, 1), (pi, q - 1), (0, (a - 1) % q), (gamma, -a % q)
+            terms = (comp, 1), (pi, q - 1), (gamma, -a % q)
         new, acc = {}, 0 if line else {}
         for j, c in terms:
             v = value[j]

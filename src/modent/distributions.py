@@ -16,6 +16,7 @@ from .errors import (
     DivisibleByP,
     IndexOutOfRange,
     InvalidDistribution,
+    InvalidResidue,
     InvalidSize,
     ModulusMismatch,
     SumNotOne,
@@ -120,13 +121,21 @@ def _measure_entropy(reps, p: int) -> int:
     return (pow(sum(reps), p, p2) - power_sum) % p2 // p  # divisible by p, by Fermat
 
 
+def _representatives(reps) -> tuple:
+    """reps as a tuple of ints, not reduced; anything else raises InvalidResidue."""
+    reps = tuple(reps)
+    if not all(isinstance(a, int) for a in reps):
+        raise InvalidResidue("every representative must be an int")
+    return reps
+
+
 def entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     """(1 - sum a_i^p)/p mod p for integers a_i with sum a_i = 1 mod p.
 
     Any choice of representatives gives the same result; this entry point
     exists so that independence of the choice can be exercised directly.
     """
-    reps = tuple(reps)  # read twice: a generator would be empty the second time
+    reps = _representatives(reps)  # read twice: a generator would be empty the second time
     total = sum(reps) % p.p
     if total != 1:
         raise SumNotOne(total, f"representatives sum to {total} mod {p.p}, expected 1")
@@ -135,7 +144,7 @@ def entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
 
 def measure_entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     """((sum a_i)^p - sum a_i^p)/p mod p, the degree-1 homogeneous extension."""
-    return Residue(_measure_entropy(tuple(reps), p.p), p)
+    return Residue(_measure_entropy(_representatives(reps), p.p), p)
 
 
 def entropy(d: ModDist) -> Residue:

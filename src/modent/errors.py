@@ -22,12 +22,13 @@ class InvalidDistribution(ModentError, ValueError):
 
 
 class InvalidPolynomial(ModentError, ValueError):
-    """A polynomial's prime is not a PrimeModulus, its variable count or an
-    exponent is not a nonnegative int, or a coefficient is not an int."""
+    """A polynomial's prime is not a PrimeModulus, its variable count, an
+    exponent or a power is not a nonnegative int, or a coefficient is not an int."""
 
 
 class InvalidResidue(ModentError, TypeError):
-    """A residue was given a value that is neither an int nor a residue."""
+    """A residue was given a value that is neither an int nor a residue, or
+    an entropy of representatives a representative that is not an int."""
 
 
 class ArityMismatch(ModentError, ValueError):
@@ -37,7 +38,7 @@ class ArityMismatch(ModentError, ValueError):
 
 class InvalidSize(ModentError, ValueError):
     """A size or count is out of range: a truncation arity below 1, a
-    uniform distribution on no points, a negative count or block size."""
+    uniform distribution on no points, a negative count, a block size below 1."""
 
 
 class DuplicateLabel(ModentError, ValueError):

@@ -12,7 +12,6 @@ checked pointwise.
 """
 
 from itertools import accumulate, product
-from math import factorial
 from operator import add, mul
 
 from .distributions import compositions
@@ -28,11 +27,11 @@ from .errors import (
 from .modular import PrimeModulus, Residue
 from .verification import Failures, VerificationReport
 
-# Bound the identity checks.  At p = 31 with six block variables in at most six
-# blocks, the costliest cells have six blocks of size 1: check_poly_chain_rule
-# takes 12.9-16.6 s at 258 MB and check_grouping 6.7-8.7 s at 220 MB (one fresh
-# process per cell, 2-core VM, Python 3.11); `modent identities --p 31` takes
-# 0.5 s at 19 MB.  Empty blocks leave the number of blocks unbounded.
+# Bound the identity checks.  Blocks are positive, so six block variables make
+# at most six blocks.  At p = 31 the costliest cells have six blocks of size 1:
+# check_poly_chain_rule takes 12.9-16.6 s at 258 MB and check_grouping
+# 6.7-8.7 s at 220 MB (one fresh process per cell, 2-core VM, Python 3.11);
+# `modent identities --p 31` takes 0.5 s at 19 MB.
 IDENTITY_PRIME_GUARD = 31
 GROUPING_SIZE_GUARD = 6
 INTERPOLATE_WORK_GUARD = 250_000  # bounds max(n, 1) * p^(n+1), see interpolate
@@ -190,8 +189,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise InvalidPolynomial("negative power of a polynomial")
+        if not isinstance(exponent, int) or exponent < 0:
+            raise InvalidPolynomial(f"power {exponent!r} of a polynomial is not a nonnegative int")
         result = MultiPoly.constant(self.p, self.nvars, 1)
         base = self
         e = exponent
@@ -327,7 +326,8 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     if n < 0:
         raise InvalidPolynomial("n must be nonnegative")
     q = p.p
-    inv_factorial = [pow(factorial(r), -1, q) for r in range(q)]
+    # 1/r! for r < q, from the running product r! mod q
+    inv_factorial = [pow(f, -1, q) for f in accumulate(range(1, q), lambda f, r: f * r % q, initial=1)]
     # the first n - 1 exponents, variable by variable, each prefix with its
     # degree d and coefficient -1/prod r!; the last exponent is q - d, which
     # is below q once d >= 1
@@ -403,8 +403,8 @@ def _blocks(n: int, ks, p: PrimeModulus, start: int):
     ks = tuple(ks)
     if len(ks) != n:
         raise ArityMismatch(f"{len(ks)} block sizes for {n} outer slots")
-    if any(k < 0 for k in ks):
-        raise InvalidSize(f"block sizes {ks} must be nonnegative")
+    if any(k < 1 for k in ks):
+        raise InvalidSize(f"block sizes {ks} must be positive")
     _check_identity_guard(p)
     if sum(ks) > GROUPING_SIZE_GUARD:
         raise RangeGuard(f"total of {sum(ks)} variables exceeds the guard of {GROUPING_SIZE_GUARD}")
@@ -474,6 +474,7 @@ def check_fundamental(f: MultiPoly, p: PrimeModulus) -> VerificationReport:
     f(x) + G(y, 1-x) = f(y) + G(x, 1-y) in two variables.  Returns a
     pass/fail report so that non-solutions can be probed.
     """
+    _check_identity_guard(p)
     g = homogenize(f, p)  # raises DegreeTooHigh when deg f > p
     x = MultiPoly.variable(p, 2, 0)
     y = MultiPoly.variable(p, 2, 1)

@@ -357,6 +357,7 @@ def test_solve_matches_dense_elimination_of_hand_built_rows(case):
 def test_rows_stream_one_row_per_instance():
     for p, n in ((P2, 5), (P3, 4), (P5, 3)):
         rows = build_system(p, n).rows
+        state = dict(vars(rows))
         q = p.p
         # compositions of K into n blocks, times q^(n-1) choices of pi and
         # q^(K-n) choices of the gammas
@@ -368,6 +369,8 @@ def test_rows_stream_one_row_per_instance():
         )
         assert len(rows) == instances == sum(1 for _ in rows) == sum(1 for _ in rows)
         assert all(row and all(0 < v < q for v in row.values()) for row in rows)
+        # each pass builds its own block table: the object keeps nothing
+        assert vars(rows) == state
 
 
 def test_solution_counts_the_rows_it_read():

@@ -2,7 +2,8 @@
 
 Each error is a `ModentError` and, as the bare `ValueError` it replaced, a
 `ValueError`, so older `except ValueError` clauses still catch it; an
-unknown label is a `KeyError`, as the failed lookup it stands for.
+unknown label is a `KeyError`, as the failed lookup it stands for, and a
+representative that is not an int an `InvalidResidue`, a `TypeError`.
 """
 
 from fractions import Fraction
@@ -11,18 +12,25 @@ import pytest
 
 from modent import cli
 from modent.characterization import build_system
-from modent.distributions import ModDist, pad_zeros, uniform
+from modent.distributions import (
+    ModDist,
+    entropy_of_representatives,
+    measure_entropy_of_representatives,
+    pad_zeros,
+    uniform,
+)
 from modent.errors import (
     ArityMismatch,
     DuplicateLabel,
     InvalidPolynomial,
+    InvalidResidue,
     InvalidSize,
     ModentError,
     NotCommonDenominator,
     UnknownLabel,
 )
 from modent.finprob import FinProbSpace, convex_combine_maps, make_map
-from modent.modular import PrimeModulus
+from modent.modular import PrimeModulus, Residue
 from modent.polynomials import MultiPoly, check_grouping, check_poly_chain_rule, entropy_poly, interpolate
 from modent.residue import RationalDist, scaled_numerators
 
@@ -47,6 +55,7 @@ CASES = {
     "convex_combine_maps": (ArityMismatch, lambda: convex_combine_maps(ModDist(P3, (1,)), [_identity_map()] * 2)),
     "scaled_numerators": (NotCommonDenominator, lambda: scaled_numerators(RationalDist([Fraction(1, 3)] * 3), 2)),
     "MultiPoly.__pow__": (InvalidPolynomial, lambda: MultiPoly.variable(P3, 1, 0) ** -1),
+    "MultiPoly.__pow__ not an int": (InvalidPolynomial, lambda: MultiPoly.variable(P3, 1, 0) ** 1.5),
     "entropy_poly": (InvalidPolynomial, lambda: entropy_poly(-1, P3)),
     "interpolate": (InvalidPolynomial, lambda: interpolate(lambda pt: 0, P3, -1)),
     "_blocks count": (ArityMismatch, lambda: check_grouping(2, (1,), P3)),
@@ -61,6 +70,22 @@ def test_size_and_pairing_errors_are_typed_value_errors(name):
         call()
     builtin = KeyError if error is UnknownLabel else ValueError
     assert isinstance(info.value, ModentError) and isinstance(info.value, builtin)
+
+
+# representatives are computed with as they are given, never reduced, so one
+# that is not an int is refused
+NOT_INT_REPRESENTATIVES = {
+    "text": lambda: entropy_of_representatives(["a"], P3),
+    "residue": lambda: entropy_of_representatives([Residue(1, P3)], P3),
+    "float measure": lambda: measure_entropy_of_representatives([1.5], P3),
+}
+
+
+@pytest.mark.parametrize("name", NOT_INT_REPRESENTATIVES)
+def test_representatives_that_are_not_ints_are_typed_type_errors(name):
+    with pytest.raises(InvalidResidue) as info:
+        NOT_INT_REPRESENTATIVES[name]()
+    assert isinstance(info.value, ModentError) and isinstance(info.value, TypeError)
 
 
 def test_cli_reports_typed_errors_with_exit_2(capsys):

@@ -13,6 +13,7 @@ from modent.errors import (
     DegreeTooHigh,
     IndexOutOfRange,
     InvalidPolynomial,
+    InvalidSize,
     ModentError,
     ModulusMismatch,
     RangeGuard,
@@ -155,6 +156,15 @@ def test_entropy_poly_examples():
     assert entropy_poly(2, P2).terms == {(1, 1): 1}
 
 
+def test_entropy_poly_at_a_large_prime_matches_wilson():
+    # -1/(r! (p - r)!) = (-1)^(r+1)/r mod p, since (p - 1)! = -1 by Wilson's
+    # theorem; the inverse factorials come from a running product, so p = 10007
+    # takes milliseconds
+    q = 10007
+    expected = {(r, q - r): (-1) ** (r + 1) * pow(r, -1, q) % q for r in range(1, q)}
+    assert entropy_poly(2, PrimeModulus(q)).terms == expected
+
+
 def test_entropy_poly_matches_multinomial_oracle():
     # n <= 6 wherever the oracle's scan of (Z/p)^n stays below 50 000 points
     for pp in (2, 3, 5, 7, 11, 13):
@@ -289,7 +299,6 @@ def test_check_grouping_examples():
     assert check_grouping(2, (2, 1), P3).passed
     assert check_grouping(1, (3,), P5).passed  # reduces to h one-variable = 0
     assert check_grouping(2, (2, 2), P5).passed
-    assert check_grouping(2, (2, 0), P3).passed  # empty blocks are allowed
     assert check_grouping(3, (1, 2, 1), P2).passed
 
 
@@ -300,6 +309,16 @@ def test_check_grouping_guards():
         check_grouping(2, (2, 1), PrimeModulus(37))
     with pytest.raises(ValueError):
         check_grouping(2, (2,), P3)
+
+
+@pytest.mark.parametrize("check", [check_grouping, check_poly_chain_rule])
+def test_identity_checks_refuse_empty_blocks(check):
+    # blocks are positive, so the guard on their total also bounds their number
+    for n, ks in ((2, (2, 0)), (1, (0,)), (2, (0, 0)), (12, (0,) * 12), (7, (6,) + (0,) * 6)):
+        with pytest.raises(InvalidSize):
+            check(n, ks, P3)
+    with pytest.raises(RangeGuard):
+        check(7, (1,) * 7, P3)
 
 
 @pytest.mark.parametrize("pp", [17, 19, 23, 29, 31])
@@ -375,6 +394,10 @@ def test_check_fundamental():
     assert not check_fundamental(x2, P5).passed
     with pytest.raises(DegreeTooHigh):
         check_fundamental(MultiPoly(P5, 1, {(6,): 1}), P5)
+    # guarded like every identity check: 37 is the next prime above the guard
+    p37 = PrimeModulus(37)
+    with pytest.raises(RangeGuard):
+        check_fundamental(pounds1(p37), p37)
 
 
 def test_check_symmetry():
