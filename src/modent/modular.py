@@ -11,6 +11,8 @@ both of which depend only on a mod p².  They are computed with modulus-p²
 exponentiation, so no big-integer towers arise for large a.
 """
 
+from operator import itemgetter
+
 from .errors import DivisibleByP, InvalidResidue, ModulusMismatch, NotPrime, RangeGuard
 from .verification import Failures, VerificationReport
 
@@ -18,12 +20,14 @@ from .verification import Failures, VerificationReport
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5.
-# At the limit `verify_fq_laws` takes 0.12-0.16 s and `verify_hom_uniqueness`
-# 3.6-4.1 s, at 15 MB (one fresh process, 2-core VM, Python 3.11); p = 37
-# takes 0.3 s and 7.5-10.5 s, and p = 97, the bound before, about 21 minutes
-# (extrapolated).
-VERIFIER_PRIME_GUARD = 31
+# Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5 and
+# whose product rows hold p^4 pointers.  At the limit `verify_fq_laws` takes
+# 0.37-0.55 s and `verify_hom_uniqueness` 3.2-3.6 s, at 36 MB, and `modent
+# verify-core` 4.0-4.3 s at 37 MB (fresh processes, 2-core VM, Python 3.11.7);
+# p = 43 takes 0.58-0.65 s and 4.4-4.6 s at 40 MB, and `verify-core` 4.8-5.3 s,
+# more than p = 31 cost when every pair was checked on its own (0.13-0.18 s and
+# 3.9-4.3 s at 16 MB, `verify-core` 4.4-4.7 s, on the same VM).
+VERIFIER_PRIME_GUARD = 41
 
 
 def is_prime(n: int) -> bool:
@@ -247,21 +251,41 @@ def fq_section(r: Residue) -> LiftedResidue:
 
 
 def _verifier_tables(p: PrimeModulus) -> tuple:
-    """q, p², the units in [1, p²) and fq as a list over [0, p²) that is 0 off the units."""
+    """q, p², the units in [1, p²), the fq table and the product rows of the units.
+
+    fq is a list over [0, p²) that is 0 off the units.  Row a is an
+    itemgetter over the indices a*b mod p², b in units; its ints are shared
+    from one list(range(p²)), so the rows hold only pointers.
+    """
     if p.p > VERIFIER_PRIME_GUARD:
         raise RangeGuard(f"exhaustive verifier capped at p <= {VERIFIER_PRIME_GUARD}, got {p.p}")
     q, p2 = p.p, p.p_squared
     units = [n for n in range(1, p2) if n % q != 0]
-    return q, p2, units, [_fq(n, q, p2) if n % q else 0 for n in range(p2)]
+    fq = [_fq(n, q, p2) if n % q else 0 for n in range(p2)]
+    ints = list(range(p2))
+    rows = [itemgetter(*[ints[a * b % p2] for b in units]) for a in units]
+    return q, p2, units, fq, rows
 
 
-def _add_non_additive(failures: Failures, f: list, units: list, q: int, line_of) -> None:
-    """Add each unit pair with f(ab mod p²) != f(a) + f(b) mod q, row by row, as line_of(a, b)."""
+def _add_non_additive(failures: Failures, f: list, units: list, rows: list, q: int, line_of) -> None:
+    """Add each unit pair with f(ab mod p²) != f(a) + f(b) mod q, row by row, as line_of(a, b).
+
+    f is a list over [0, p²) with values in [0, q).  `rows` holds, per unit
+    a in order, an itemgetter over the indices ab mod p², b in units.  Row a
+    passes when it reads from f the same tuple as (f(a) + f(b)) mod q over
+    b: one comparison in C that still checks every pair of the row.  The q
+    possible right sides are built once per f.  Only a failing row is walked
+    pair by pair, so the lines, their order and the count are those of a
+    check of every pair on its own.
+    """
     p2 = len(f)
-    for a in units:
+    fu = [f[b] for b in units]
+    shifted = [tuple([(s + v) % q for v in fu]) for s in range(q)]
+    for a, row in zip(units, rows):
         fa = f[a]
-        bad = [b for b in units if f[a * b % p2] != (fa + f[b]) % q]
-        failures.add(bad, lambda b: line_of(a, b))
+        if row(f) != shifted[fa]:
+            bad = [b for b in units if f[a * b % p2] != (fa + f[b]) % q]
+            failures.add(bad, lambda b: line_of(a, b))
 
 
 def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
@@ -273,13 +297,13 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
       3. fq(n + p²) = fq(n).
     Law 1 reads fq(mn mod p²) from the table, which law 3 ties to fq beyond p².
     """
-    q, p2, units, fq = _verifier_tables(p)
+    q, p2, units, fq, rows = _verifier_tables(p)
     failures = Failures()
 
     checks = 1 + len(units) * (len(units) + q + 1)  # fq(1), then per (m, n), (n, r) and n
     if fq[1] != 0:
         failures.add([f"fq(1) = {fq[1]} != 0"])
-    _add_non_additive(failures, fq, units, q, lambda m, n: f"fq({m}*{n}) != fq({m}) + fq({n})")
+    _add_non_additive(failures, fq, units, rows, q, lambda m, n: f"fq({m}*{n}) != fq({m}) + fq({n})")
     for n in units:
         fn, inv_n = fq[n], pow(n, -1, q)
         bad = [r for r in range(q) if _fq(n + r * q, q, p2) != (fn - r * inv_n) % q]
@@ -299,12 +323,12 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     one agrees pointwise with c*fq for c = image/fq(e).  Also checks that
     fq itself is a surjective homomorphism.
     """
-    q, p2, units, fq = _verifier_tables(p)
+    q, p2, units, fq, rows = _verifier_tables(p)
     failures = Failures()
 
     # per pair and once for surjectivity, then per pair and per unit for each image
     checks = len(units) ** 2 + 1 + q * (len(units) ** 2 + len(units))
-    _add_non_additive(failures, fq, units, q, lambda a, b: f"fq not a homomorphism at ({a}, {b})")
+    _add_non_additive(failures, fq, units, rows, q, lambda a, b: f"fq not a homomorphism at ({a}, {b})")
     if {fq[u] for u in units} != set(range(q)):
         failures.add(["fq is not surjective onto Z/pZ"])
 
@@ -325,7 +349,7 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     for image in range(q):
         hom = [d * image % q for d in dlog]
         line = f"candidate with e -> {image} is not a homomorphism"
-        _add_non_additive(failures, hom, units, q, lambda a, b: line)
+        _add_non_additive(failures, hom, units, rows, q, lambda a, b: line)
         c = image * fq_e_inv % q
         bad = [u for u in units if hom[u] != c * fq[u] % q]
         failures.add(bad, lambda u: f"candidate with e -> {image} differs from {c}*fq at {u}")

@@ -323,8 +323,8 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     Coefficient of x^{r_1}...x^{r_n} is -1/(r_1!...r_n!) over exponent
     vectors with all r_i < p summing to p.  For n <= 1 this is zero.
     """
-    if n < 0:
-        raise InvalidPolynomial("n must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidPolynomial(f"n must be a nonnegative int, got {n!r}")
     q = p.p
     # 1/r! for r < q, from the running product r! mod q
     inv_factorial = [pow(f, -1, q) for f in accumulate(range(1, q), lambda f, r: f * r % q, initial=1)]
@@ -367,8 +367,8 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
     construction expands sum_a F(a) * delta(x - a) with
     delta(x) = prod (1 - x_i^{p-1}), organized as one pass per axis.
     """
-    if n < 0:
-        raise InvalidPolynomial("nvars must be nonnegative")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidPolynomial(f"nvars must be a nonnegative int, got {n!r}")
     q = p.p
     # n q^(n+1) products in the n passes, q^2 entries of U; q^(n+1) >= 2^(n+1),
     # so a huge n is refused before q^(n+1) is computed
@@ -401,6 +401,8 @@ def _report(name: str, lhs: MultiPoly, rhs: MultiPoly, data=None) -> Verificatio
 def _blocks(n: int, ks, p: PrimeModulus, start: int):
     """Validate a block shape; return it and each block's variable indices from `start`."""
     ks = tuple(ks)
+    if not all(isinstance(k, int) for k in (n, *ks)):
+        raise InvalidSize(f"outer size {n!r} and block sizes {ks!r} must be ints")
     if len(ks) != n:
         raise ArityMismatch(f"{len(ks)} block sizes for {n} outer slots")
     if any(k < 1 for k in ks):

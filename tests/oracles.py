@@ -21,6 +21,12 @@ def pderiv_big(a: int, p: int) -> int:
     return ((a - a**p) // p) % p
 
 
+def non_additive_pairs(f, units, q: int) -> list:
+    """Every unit pair (a, b), row by row, with f(ab mod p²) != f(a) + f(b) mod q, where p² = len(f)."""
+    p2 = len(f)
+    return [(a, b) for a in units for b in units if (f[a * b % p2] - f[a] - f[b]) % q]
+
+
 def entropy_big(reps, p: int) -> int:
     """(1 - sum a^p)/p via big integers, for representatives summing to 1 mod p."""
     assert sum(reps) % p == 1

@@ -60,6 +60,11 @@ CASES = {
     "interpolate": (InvalidPolynomial, lambda: interpolate(lambda pt: 0, P3, -1)),
     "_blocks count": (ArityMismatch, lambda: check_grouping(2, (1,), P3)),
     "_blocks size": (InvalidSize, lambda: check_poly_chain_rule(2, (1, -1), P3)),
+    "_blocks size not an int": (InvalidSize, lambda: check_grouping(2, (1, "a"), P3)),
+    "_blocks size a float": (InvalidSize, lambda: check_grouping(2, (1, 1.0), P3)),
+    "_blocks count not an int": (InvalidSize, lambda: check_grouping("2", (1, 1), P3)),
+    "entropy_poly not an int": (InvalidPolynomial, lambda: entropy_poly(1.5, P3)),
+    "interpolate not an int": (InvalidPolynomial, lambda: interpolate(lambda pt: 0, P3, 1.5)),
 }
 
 

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from modent.errors import DivisibleByP, ModentError, ModulusMismatch, NotPrime, RangeGuard
 from modent.modular import (
@@ -18,7 +20,7 @@ from modent.modular import (
     verify_hom_uniqueness,
 )
 from modent.verification import FAILURE_SAMPLES, Failures
-from oracles import fq_big, pderiv_big
+from oracles import fq_big, non_additive_pairs, pderiv_big
 
 P3 = PrimeModulus(3)
 P5 = PrimeModulus(5)
@@ -299,9 +301,9 @@ def test_verifiers_cap_failure_lines_and_count_every_failure(monkeypatch):
 def test_additivity_check_counts_every_broken_pair_and_keeps_its_lines():
     import modent.modular as modular
 
-    _, p2, units, fq = modular._verifier_tables(P5)
+    _, p2, units, fq, rows = modular._verifier_tables(P5)
     failures = Failures()
-    modular._add_non_additive(failures, fq, units, 5, lambda a, b: f"{a}*{b}")
+    modular._add_non_additive(failures, fq, units, rows, 5, lambda a, b: f"{a}*{b}")
     assert failures.total == 0 and failures.lines == []
 
     # fq + 1 at the one unit c = 7 breaks (a, b) unless the 7s among ab, a and
@@ -309,12 +311,79 @@ def test_additivity_check_counts_every_broken_pair_and_keeps_its_lines():
     # b not in {1, 7}, the 18 with b = 7 and a not in {1, 7}, and (7, 7)
     planted = list(fq)
     planted[7] = (planted[7] + 1) % 5
-    modular._add_non_additive(failures, planted, units, 5, lambda a, b: f"{a}*{b}")
+    modular._add_non_additive(failures, planted, units, rows, 5, lambda a, b: f"{a}*{b}")
     u = len(units)
     assert failures.total == 3 * (u - 2) + 1 == 55
     broken = [(a, b) for a in units for b in units if (a * b % p2 == 7) - (a == 7) - (b == 7)]
     assert len(failures.lines) == FAILURE_SAMPLES
     assert failures.lines == [f"{a}*{b}" for a, b in broken[:FAILURE_SAMPLES]]
+
+
+@st.composite
+def tables_with_faults(draw):
+    """(p, a table over [0, p²) with values in [0, p)): c*fq or random, then one to six faults at units."""
+    import modent.modular as modular
+
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    _, p2, units, fq, _ = modular._verifier_tables(PrimeModulus(p))
+    if draw(st.booleans()):
+        c = draw(st.integers(0, p - 1))
+        table = [c * v % p for v in fq]
+    else:
+        table = draw(st.lists(st.integers(0, p - 1), min_size=p2, max_size=p2))
+    faults = draw(st.lists(st.tuples(st.sampled_from(units), st.integers(1, p - 1)), min_size=1, max_size=6))
+    for u, shift in faults:
+        table[u] = (table[u] + shift) % p
+    return p, table
+
+
+@seed(SEED)
+@settings(max_examples=80, deadline=None)
+@given(tables_with_faults())
+def test_row_check_matches_the_per_pair_reference(case):
+    import modent.modular as modular
+
+    p, table = case
+    _, _, units, _, rows = modular._verifier_tables(PrimeModulus(p))
+    failures = Failures()
+    modular._add_non_additive(failures, table, units, rows, p, lambda a, b: f"{a}*{b}")
+    pairs = non_additive_pairs(table, units, p)
+    assert failures.total == len(pairs)
+    assert failures.lines == [f"{a}*{b}" for a, b in pairs[:FAILURE_SAMPLES]]
+
+
+def test_a_fault_in_one_candidate_follows_fqs_lines(monkeypatch):
+    import modent.modular as modular
+
+    real = modular._add_non_additive
+    seen = {}
+
+    def planted(failures, f, units, rows, q, line_of, fault_in):
+        # add 1 at the unit 2 of each table whose line at (1, 1) is in fault_in
+        if line_of(1, 1) in fault_in:
+            f = list(f)
+            f[2] = (f[2] + 1) % q
+            seen[line_of(1, 1)] = non_additive_pairs(f, units, q)
+        real(failures, f, units, rows, q, line_of)
+
+    candidate = "candidate with e -> 2 is not a homomorphism"
+    # the candidate alone at p = 5: fq and the other candidates stay clean
+    monkeypatch.setattr(modular, "_add_non_additive", lambda *args: planted(*args, {candidate}))
+    report = verify_hom_uniqueness(P5)
+    total = len(seen[candidate])
+    assert total > 0 and report.data["failures_total"] == total
+    assert report.failures == (candidate,) * min(total, FAILURE_SAMPLES)
+
+    # with fq faulted too, at p = 3, fq's lines come first and the candidate's follow
+    fq_line = "fq not a homomorphism at (1, 1)"
+    monkeypatch.setattr(modular, "_add_non_additive", lambda *args: planted(*args, {fq_line, candidate}))
+    report = verify_hom_uniqueness(P3)
+    fq_pairs, candidate_pairs = seen[fq_line], seen[candidate]
+    assert fq_pairs and candidate_pairs
+    expected = [f"fq not a homomorphism at ({a}, {b})" for a, b in fq_pairs]
+    expected += [candidate] * len(candidate_pairs)
+    assert report.data["failures_total"] == len(expected)
+    assert report.failures == tuple(expected[:FAILURE_SAMPLES])
 
 
 def test_verifiers_report_zero_failures_total_when_they_pass():
