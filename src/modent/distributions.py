@@ -8,6 +8,7 @@ compose operadically, and H_p satisfies the chain rule
     H(pi o (g^1, ..., g^n)) = H(pi) + sum_i pi_i * H(g^i).
 """
 
+from collections import Counter
 from itertools import combinations, repeat
 from operator import sub
 
@@ -21,7 +22,13 @@ from .errors import (
     ModulusMismatch,
     SumNotOne,
 )
-from .modular import PrimeModulus, Residue, as_int, as_ints
+from .modular import PrimeModulus, Residue, _fq, as_int, as_ints
+
+# Inputs with len(reps) * p.bit_length() below this take one pow per entry.
+# Measured crossover, one call each way: 250-600 bits for p from 3 to
+# 2^61 - 1 (n = 256 at p = 3, 45 at 10007, 6 at 2^61 - 1; 2-core VM,
+# Python 3.11.7).
+PRODUCT_PATH_BITS = 512
 
 
 def compositions(total: int, parts: int):
@@ -115,10 +122,56 @@ class ModMeasure(_Entries):
 
 def _measure_entropy(reps, p: int) -> int:
     """((sum a_i)^p - sum a_i^p)/p mod p on ints; H_p when the a_i sum to 1 mod p,
-    because then (sum a_i)^p = 1 mod p²."""
+    because then (sum a_i)^p = 1 mod p².
+
+    A short input, len(reps) * p.bit_length() < PRODUCT_PATH_BITS, takes
+    one pow per entry.  A longer one takes the power sum from one Fermat
+    quotient q: with r_i = a_i mod p, a_i^p = r_i (1 + p q(r_i)) mod p²,
+    and q is a homomorphism to Z/pZ, so over the r_i != 0
+
+        sum a_i^p = sum r_i + p q(prod r_i^r_i)   mod p²;
+
+    see _power_sum.
+    """
     p2 = p * p
-    power_sum = sum(map(pow, reps, repeat(p), repeat(p2)))
+    if len(reps) * p.bit_length() < PRODUCT_PATH_BITS:
+        power_sum = sum(map(pow, reps, repeat(p), repeat(p2)))
+    else:
+        power_sum = _power_sum(reps, p, p2)
     return (pow(sum(reps), p, p2) - power_sum) % p2 // p  # divisible by p, by Fermat
+
+
+def _power_sum(reps, p: int, p2: int) -> int:
+    """sum a^p mod p² over reps, as sum r + p q(prod r^r) with r = a mod p.
+
+    Equal entries are collapsed first: k copies of a give r k and r^(r k),
+    and as q(r^p) = 0 the exponent r k is taken mod p.  Entries divisible
+    by p add 0.  The product is Pippenger's bucket method over c-bit
+    windows of the exponents, with c minimising the windows times
+    (bases + 2^(c+1)) multiplications.
+    """
+    total, bases, exps = 0, [], []
+    for a, k in Counter(reps).items():
+        r = a % p
+        if r:
+            total += r * k
+            bases.append(r)
+            exps.append(r * k % p)
+    bits = p.bit_length()
+    c = min(range(1, 17), key=lambda c: -(-bits // c) * (len(bases) + (2 << c)))
+    mask = (1 << c) - 1
+    x = 1
+    for shift in range((bits - 1) // c * c, -1, -c):
+        x = pow(x, 1 << c, p2)
+        buckets = [1] * (mask + 1)  # buckets[d]: product of the bases with digit d here
+        for r, e in zip(bases, exps):
+            d = e >> shift & mask
+            buckets[d] = buckets[d] * r % p2
+        run = 1
+        for b in buckets[:0:-1]:  # x *= prod over d of buckets[d]^d
+            run = run * b % p2
+            x = x * run % p2
+    return total + p * _fq(x, p, p2)
 
 
 def _representatives(reps) -> tuple:
@@ -179,6 +232,8 @@ def tensor(a: ModDist, b: ModDist) -> ModDist:
 
 def uniform(n: int, p: PrimeModulus) -> ModDist:
     """The uniform distribution u_n = (1/n, ..., 1/n); requires p not dividing n."""
+    if not isinstance(n, int):
+        raise InvalidSize(f"n must be an int, got {n!r}")
     if n <= 0:
         raise InvalidSize("n must be positive")
     if n % p.p == 0:
@@ -188,6 +243,8 @@ def uniform(n: int, p: PrimeModulus) -> ModDist:
 
 def pad_zeros(d: ModDist, position: int, count: int) -> ModDist:
     """Insert `count` zero entries at `position`; entropy is unchanged."""
+    if not (isinstance(position, int) and isinstance(count, int)):
+        raise InvalidSize(f"position {position!r} and count {count!r} must be ints")
     if not 0 <= position <= len(d):
         raise IndexOutOfRange(f"position {position} not in [0, {len(d)}]")
     if count < 0:

@@ -41,6 +41,20 @@ def measure_entropy_big(reps, p: int) -> int:
     return (num // p) % p
 
 
+def power_sum_by_pow(reps, p: int) -> int:
+    """sum a^p mod p², one modular power per entry."""
+    p2 = p * p
+    return sum(pow(a, p, p2) for a in reps) % p2
+
+
+def measure_entropy_by_pow(reps, p: int) -> int:
+    """((sum a)^p - sum a^p)/p mod p from power_sum_by_pow; fit for any p."""
+    p2 = p * p
+    num = (pow(sum(reps), p, p2) - power_sum_by_pow(reps, p)) % p2
+    assert num % p == 0
+    return num // p
+
+
 def entropy_poly_terms(n: int, p: int) -> dict:
     """Coefficients of the entropy polynomial by direct multinomial enumeration."""
     terms = {}

@@ -65,6 +65,10 @@ CASES = {
     "_blocks count not an int": (InvalidSize, lambda: check_grouping("2", (1, 1), P3)),
     "entropy_poly not an int": (InvalidPolynomial, lambda: entropy_poly(1.5, P3)),
     "interpolate not an int": (InvalidPolynomial, lambda: interpolate(lambda pt: 0, P3, 1.5)),
+    "uniform size a float": (InvalidSize, lambda: uniform(2.0, P3)),
+    "uniform size not an int": (InvalidSize, lambda: uniform("2", P3)),
+    "pad_zeros count a float": (InvalidSize, lambda: pad_zeros(ModDist(P3, (1,)), 0, 1.5)),
+    "pad_zeros position not an int": (InvalidSize, lambda: pad_zeros(ModDist(P3, (1,)), "0", 1)),
 }
 
 
@@ -77,8 +81,8 @@ def test_size_and_pairing_errors_are_typed_value_errors(name):
     assert isinstance(info.value, ModentError) and isinstance(info.value, builtin)
 
 
-# representatives are computed with as they are given, never reduced, so one
-# that is not an int is refused
+# a representative that is not an int is refused: the sum is taken over the
+# representatives as given, though the power sum may reduce them mod p
 NOT_INT_REPRESENTATIVES = {
     "text": lambda: entropy_of_representatives(["a"], P3),
     "residue": lambda: entropy_of_representatives([Residue(1, P3)], P3),
