@@ -9,7 +9,7 @@ compose operadically, and H_p satisfies the chain rule
 """
 
 from collections import Counter
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import sub
 
 from .errors import (
@@ -48,15 +48,12 @@ class _Entries:
 
     __slots__ = ("p", "_values")
 
-    def _set(self, p, values):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_values", values)
-
     @classmethod
     def _canonical(cls, p: PrimeModulus, values: tuple):
         """Wrap a tuple of ints in [0, p) that meets the class's condition, without checking it."""
         entries = object.__new__(cls)
-        entries._set(p, values)
+        _set_p(entries, p)
+        _set_values(entries, values)
         return entries
 
     def __setattr__(self, name, val):
@@ -66,10 +63,10 @@ class _Entries:
         return len(self._values)
 
     def __iter__(self):
-        return (Residue(v, self.p) for v in self._values)
+        return (Residue._canonical(v, self.p) for v in self._values)
 
     def __getitem__(self, i):
-        return Residue(self._values[i], self.p)
+        return Residue._canonical(self._values[i], self.p)
 
     def values(self) -> tuple:
         return self._values
@@ -84,6 +81,10 @@ class _Entries:
         return f"{type(self).__name__}(p={self.p.p}, {self._values})"
 
 
+# the slots' own setters, which bypass the __setattr__ that makes entries immutable
+_set_p, _set_values = _Entries.p.__set__, _Entries._values.__set__
+
+
 class ModDist(_Entries):
     """An element of Pi_n: a length-n tuple over Z/pZ summing to 1, n >= 1."""
 
@@ -96,7 +97,8 @@ class ModDist(_Entries):
         total = sum(values) % p.p
         if total != 1:
             raise SumNotOne(total, f"entries sum to {total} mod {p.p}, expected 1")
-        self._set(p, values)
+        _set_p(self, p)
+        _set_values(self, values)
 
     @property
     def probs(self) -> tuple:
@@ -109,7 +111,8 @@ class ModMeasure(_Entries):
     __slots__ = ()
 
     def __init__(self, p: PrimeModulus, weights):
-        self._set(p, as_ints(weights, p))
+        _set_p(self, p)
+        _set_values(self, as_ints(weights, p))
 
     @property
     def weights(self) -> tuple:
@@ -123,6 +126,13 @@ class ModMeasure(_Entries):
 def _measure_entropy(reps, p: int) -> int:
     """((sum a_i)^p - sum a_i^p)/p mod p on ints; H_p when the a_i sum to 1 mod p,
     because then (sum a_i)^p = 1 mod p².
+    """
+    p2 = p * p
+    return (pow(sum(reps), p, p2) - _sum_of_pth_powers(reps, p, p2)) % p2 // p  # divisible by p, by Fermat
+
+
+def _sum_of_pth_powers(reps, p: int, p2: int) -> int:
+    """sum a_i^p over reps, correct mod p² (not reduced).
 
     A short input, len(reps) * p.bit_length() < PRODUCT_PATH_BITS, takes
     one pow per entry.  A longer one takes the power sum from one Fermat
@@ -133,12 +143,9 @@ def _measure_entropy(reps, p: int) -> int:
 
     see _power_sum.
     """
-    p2 = p * p
     if len(reps) * p.bit_length() < PRODUCT_PATH_BITS:
-        power_sum = sum(map(pow, reps, repeat(p), repeat(p2)))
-    else:
-        power_sum = _power_sum(reps, p, p2)
-    return (pow(sum(reps), p, p2) - power_sum) % p2 // p  # divisible by p, by Fermat
+        return sum([pow(a, p, p2) for a in reps])
+    return _power_sum(reps, p, p2)
 
 
 def _power_sum(reps, p: int, p2: int) -> int:
@@ -192,22 +199,28 @@ def entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     total = sum(reps) % p.p
     if total != 1:
         raise SumNotOne(total, f"representatives sum to {total} mod {p.p}, expected 1")
-    return Residue(_measure_entropy(reps, p.p), p)
+    return Residue._canonical(_measure_entropy(reps, p.p), p)
 
 
 def measure_entropy_of_representatives(reps, p: PrimeModulus) -> Residue:
     """((sum a_i)^p - sum a_i^p)/p mod p, the degree-1 homogeneous extension."""
-    return Residue(_measure_entropy(_representatives(reps), p.p), p)
+    return Residue._canonical(_measure_entropy(_representatives(reps), p.p), p)
 
 
 def entropy(d: ModDist) -> Residue:
-    """The entropy H_p of a distribution mod p."""
-    return Residue(_measure_entropy(d.values(), d.p.p), d.p)
+    """The entropy H_p of a distribution mod p, (1 - sum a_i^p)/p mod p.
+
+    A ModDist's entries sum to 1 mod p, so (sum a_i)^p = 1 mod p² and the
+    sum is neither taken nor raised to the p-th power.
+    """
+    p = d.p.p
+    p2 = p * p
+    return Residue._canonical((1 - _sum_of_pth_powers(d._values, p, p2)) % p2 // p, d.p)
 
 
 def entropy_measure(m: ModMeasure) -> Residue:
     """The homogeneous extension of H_p to arbitrary tuples; empty tuple gives 0."""
-    return Residue(_measure_entropy(m.values(), m.p.p), m.p)
+    return Residue._canonical(_measure_entropy(m.values(), m.p.p), m.p)
 
 
 def compose(outer: ModDist, inners) -> ModDist:
@@ -216,7 +229,7 @@ def compose(outer: ModDist, inners) -> ModDist:
     if len(inners) != len(outer):
         raise ArityMismatch(f"{len(outer)} outer entries but {len(inners)} inner tuples")
     for g in inners:
-        if g.p != outer.p:
+        if g.p is not outer.p and g.p != outer.p:
             raise ModulusMismatch("all distributions in a composite must share p")
     p = outer.p.p
     entries = [pi * y % p for pi, g in zip(outer.values(), inners) for y in g.values()]

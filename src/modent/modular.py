@@ -11,7 +11,8 @@ both of which depend only on a mod p².  They are computed with modulus-p²
 exponentiation, so no big-integer towers arise for large a.
 """
 
-from operator import itemgetter
+from itertools import compress
+from operator import not_
 
 from .errors import DivisibleByP, InvalidResidue, ModulusMismatch, NotPrime, RangeGuard
 from .verification import Failures, VerificationReport
@@ -20,14 +21,14 @@ from .verification import Failures, VerificationReport
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5 and
-# whose product rows hold p^4 pointers.  At the limit `verify_fq_laws` takes
-# 0.37-0.55 s and `verify_hom_uniqueness` 3.2-3.6 s, at 36 MB, and `modent
-# verify-core` 4.0-4.3 s at 37 MB (fresh processes, 2-core VM, Python 3.11.7);
-# p = 43 takes 0.58-0.65 s and 4.4-4.6 s at 40 MB, and `verify-core` 4.8-5.3 s,
-# more than p = 31 cost when every pair was checked on its own (0.13-0.18 s and
-# 3.9-4.3 s at 16 MB, `verify-core` 4.4-4.7 s, on the same VM).
-VERIFIER_PRIME_GUARD = 41
+# Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5; it
+# must stay below 256, so that a table's values fit in a byte.  At the limit
+# `verify_fq_laws` takes 0.76-0.80 s and `verify_hom_uniqueness` 1.04-1.16 s,
+# at 17 MB, and `modent verify-core` 2.0-2.1 s at 18 MB (fresh processes,
+# 2-core VM, Python 3.11.7); p = 127 takes 1.33-1.55 s and 1.88-2.10 s, and
+# `verify-core` 3.2-3.4 s at 19 MB, more than p = 41 cost with a stored row
+# of product indices per unit (`verify-core` 2.2-3.0 s at 37 MB, same VM).
+VERIFIER_PRIME_GUARD = 113
 
 
 def is_prime(n: int) -> bool:
@@ -122,8 +123,16 @@ class _Canonical:
     _lifted = False
 
     def __init__(self, value, modulus: PrimeModulus):
-        object.__setattr__(self, "value", as_int(value, modulus, self._lifted))
-        object.__setattr__(self, "modulus", modulus)
+        _set_value(self, as_int(value, modulus, self._lifted))
+        _set_modulus(self, modulus)
+
+    @classmethod
+    def _canonical(cls, value: int, modulus: PrimeModulus):
+        """Wrap an int already in [0, m), without checking it."""
+        element = object.__new__(cls)
+        _set_value(element, value)
+        _set_modulus(element, modulus)
+        return element
 
     def __setattr__(self, name, val):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -139,6 +148,10 @@ class _Canonical:
 
     def __int__(self):
         return self.value
+
+
+# the slots' own setters, which bypass the __setattr__ that makes elements immutable
+_set_value, _set_modulus = _Canonical.value.__set__, _Canonical.modulus.__set__
 
 
 class Residue(_Canonical):
@@ -234,14 +247,14 @@ def fermat_quotient(a, p: PrimeModulus) -> Residue:
     v = as_int(a, p, lifted=True)
     if v % p.p == 0:
         raise DivisibleByP(f"{int(a)} is divisible by {p.p}")
-    return Residue(_fq(v, p.p, p.p_squared), p)
+    return Residue._canonical(_fq(v, p.p, p.p_squared), p)
 
 
 def p_derivation(a, p: PrimeModulus) -> Residue:
     """(a - a^p)/p mod p.  Defined for every integer; depends only on a mod p²."""
     p2 = p.p_squared
     a = as_int(a, p, lifted=True)
-    return Residue((a - pow(a, p.p, p2)) % p2 // p.p, p)  # divisible by p, by Fermat
+    return Residue._canonical((a - pow(a, p.p, p2)) % p2 // p.p, p)  # divisible by p, by Fermat
 
 
 def fq_section(r: Residue) -> LiftedResidue:
@@ -251,41 +264,53 @@ def fq_section(r: Residue) -> LiftedResidue:
 
 
 def _verifier_tables(p: PrimeModulus) -> tuple:
-    """q, p², the units in [1, p²), the fq table and the product rows of the units.
+    """q, p², the units in [1, p²), the fq table and the units as powers of a generator.
 
-    fq is a list over [0, p²) that is 0 off the units.  Row a is an
-    itemgetter over the indices a*b mod p², b in units; its ints are shared
-    from one list(range(p²)), so the rows hold only pointers.
+    fq is a list over [0, p²) that is 0 off the units.  The unit group is
+    cyclic: walking each unit's powers back to 1, the first walk that
+    covers the group is a generator e's, and powers[k] = e^k lists the
+    units by their discrete log.
     """
     if p.p > VERIFIER_PRIME_GUARD:
         raise RangeGuard(f"exhaustive verifier capped at p <= {VERIFIER_PRIME_GUARD}, got {p.p}")
     q, p2 = p.p, p.p_squared
     units = [n for n in range(1, p2) if n % q != 0]
     fq = [_fq(n, q, p2) if n % q else 0 for n in range(p2)]
-    ints = list(range(p2))
-    rows = [itemgetter(*[ints[a * b % p2] for b in units]) for a in units]
-    return q, p2, units, fq, rows
+    for generator in units:
+        powers, x = [1], generator
+        while x != 1:
+            powers.append(x)
+            x = x * generator % p2
+        if len(powers) == len(units):
+            return q, p2, units, fq, powers
 
 
-def _add_non_additive(failures: Failures, f: list, units: list, rows: list, q: int, line_of) -> None:
+def _add_non_additive(failures: Failures, f: list, units: list, powers: list, q: int, line_of) -> None:
     """Add each unit pair with f(ab mod p²) != f(a) + f(b) mod q, row by row, as line_of(a, b).
 
-    f is a list over [0, p²) with values in [0, q).  `rows` holds, per unit
-    a in order, an itemgetter over the indices ab mod p², b in units.  Row a
-    passes when it reads from f the same tuple as (f(a) + f(b)) mod q over
-    b: one comparison in C that still checks every pair of the row.  The q
-    possible right sides are built once per f.  Only a failing row is walked
-    pair by pair, so the lines, their order and the count are those of a
-    check of every pair on its own.
+    f is a list over [0, p²) with values in [0, q), and powers[k] = e^k
+    lists the u units by their discrete log to a generator e.  Read over
+    the powers and taken twice, f is the bytes `twice` (its values fit in
+    a byte, as q <= VERIFIER_PRIME_GUARD < 256), and row a = e^k, that is
+    f(a e^j) for j in [0, u), is twice[k:k+u].  The row passes when that
+    slice equals (f(a) + f(e^j)) mod q over j, which `startswith` at
+    offset k compares in C without copying it: every pair of the row is
+    still checked.  The q possible right sides are built once per f.  Only
+    a failing row is walked pair by pair, in the order of `units`, so the
+    lines, their order and the count are those of a check of every pair
+    on its own.
     """
     p2 = len(f)
-    fu = [f[b] for b in units]
-    shifted = [tuple([(s + v) % q for v in fu]) for s in range(q)]
-    for a, row in zip(units, rows):
+    fp = bytes([f[x] for x in powers])
+    twice = fp + fp
+    cycle, pad = bytes(range(q)) * 2, bytes(256 - q)
+    shifted = [fp.translate(cycle[s : s + q] + pad) for s in range(q)]  # (s + f(e^j)) mod q over j
+    passed = map(twice.startswith, map(shifted.__getitem__, fp), range(len(fp)))  # row e^k at offset k
+    failing = set(compress(powers, map(not_, passed)))
+    for a in filter(failing.__contains__, units):
         fa = f[a]
-        if row(f) != shifted[fa]:
-            bad = [b for b in units if f[a * b % p2] != (fa + f[b]) % q]
-            failures.add(bad, lambda b: line_of(a, b))
+        bad = [b for b in units if f[a * b % p2] != (fa + f[b]) % q]
+        failures.add(bad, lambda b: line_of(a, b))
 
 
 def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
@@ -297,13 +322,13 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
       3. fq(n + p²) = fq(n).
     Law 1 reads fq(mn mod p²) from the table, which law 3 ties to fq beyond p².
     """
-    q, p2, units, fq, rows = _verifier_tables(p)
+    q, p2, units, fq, powers = _verifier_tables(p)
     failures = Failures()
 
     checks = 1 + len(units) * (len(units) + q + 1)  # fq(1), then per (m, n), (n, r) and n
     if fq[1] != 0:
         failures.add([f"fq(1) = {fq[1]} != 0"])
-    _add_non_additive(failures, fq, units, rows, q, lambda m, n: f"fq({m}*{n}) != fq({m}) + fq({n})")
+    _add_non_additive(failures, fq, units, powers, q, lambda m, n: f"fq({m}*{n}) != fq({m}) + fq({n})")
     for n in units:
         fn, inv_n = fq[n], pow(n, -1, q)
         bad = [r for r in range(q) if _fq(n + r * q, q, p2) != (fn - r * inv_n) % q]
@@ -318,30 +343,22 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
 def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     """Check that every homomorphism (Z/p²Z)^x -> Z/pZ is a multiple of fq.
 
-    Finds a generator e of the (cyclic) unit group, enumerates the p
-    homomorphisms determined by the possible images of e, and checks each
-    one agrees pointwise with c*fq for c = image/fq(e).  Also checks that
-    fq itself is a surjective homomorphism.
+    Takes the generator e of the (cyclic) unit group that the tables
+    found, enumerates the p homomorphisms determined by the possible
+    images of e, and checks each one agrees pointwise with c*fq for
+    c = image/fq(e).  Also checks that fq itself is a surjective
+    homomorphism.
     """
-    q, p2, units, fq, rows = _verifier_tables(p)
+    q, p2, units, fq, powers = _verifier_tables(p)
     failures = Failures()
 
     # per pair and once for surjectivity, then per pair and per unit for each image
     checks = len(units) ** 2 + 1 + q * (len(units) ** 2 + len(units))
-    _add_non_additive(failures, fq, units, rows, q, lambda a, b: f"fq not a homomorphism at ({a}, {b})")
+    _add_non_additive(failures, fq, units, powers, q, lambda a, b: f"fq not a homomorphism at ({a}, {b})")
     if {fq[u] for u in units} != set(range(q)):
         failures.add(["fq is not surjective onto Z/pZ"])
 
-    # walk each unit's powers back to 1; the first walk that covers the group
-    # is a generator's, and lists the units by their discrete log
-    for generator in units:
-        powers, x = [1], generator
-        while x != 1:
-            powers.append(x)
-            x = x * generator % p2
-        if len(powers) == len(units):
-            break
-    dlog = [0] * p2
+    generator, dlog = powers[1], [0] * p2
     for k, x in enumerate(powers):
         dlog[x] = k
     fq_e_inv = pow(fq[generator], -1, q)  # fq(e) generates the image, hence is a unit
@@ -349,7 +366,7 @@ def verify_hom_uniqueness(p: PrimeModulus) -> VerificationReport:
     for image in range(q):
         hom = [d * image % q for d in dlog]
         line = f"candidate with e -> {image} is not a homomorphism"
-        _add_non_additive(failures, hom, units, rows, q, lambda a, b: line)
+        _add_non_additive(failures, hom, units, powers, q, lambda a, b: line)
         c = image * fq_e_inv % q
         bad = [u for u in units if hom[u] != c * fq[u] % q]
         failures.add(bad, lambda u: f"candidate with e -> {image} differs from {c}*fq at {u}")

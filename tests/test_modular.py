@@ -30,6 +30,8 @@ SEED = 20260811
 
 # the first prime the exhaustive verifiers refuse
 ABOVE_VERIFIER_GUARD = next(n for n in range(VERIFIER_PRIME_GUARD + 1, 2 * VERIFIER_PRIME_GUARD + 1) if is_prime(n))
+# the first prime whose verifier tables would not fit a byte per value
+FIRST_PRIME_PAST_A_BYTE = 257
 
 
 def test_prime_modulus_accepts_primes():
@@ -210,7 +212,7 @@ def test_verify_fq_laws_passes():
 
 
 def test_verify_fq_laws_guard():
-    for pp in (ABOVE_VERIFIER_GUARD, 101):
+    for pp in (ABOVE_VERIFIER_GUARD, FIRST_PRIME_PAST_A_BYTE):
         with pytest.raises(RangeGuard):
             verify_fq_laws(PrimeModulus(pp))
 
@@ -223,7 +225,7 @@ def test_verify_hom_uniqueness_passes():
 
 
 def test_verify_hom_uniqueness_guard():
-    for pp in (ABOVE_VERIFIER_GUARD, 103):
+    for pp in (ABOVE_VERIFIER_GUARD, FIRST_PRIME_PAST_A_BYTE):
         with pytest.raises(RangeGuard):
             verify_hom_uniqueness(PrimeModulus(pp))
 
@@ -298,12 +300,30 @@ def test_verifiers_cap_failure_lines_and_count_every_failure(monkeypatch):
             assert homs.failures == tuple(f"fq not a homomorphism at ({a}, {b})" for a, b in pairs[:20])
 
 
+# the least unit of order p(p - 1) mod p², pinned from the verifiers' reports
+GENERATORS = {2: 3, 3: 2, 5: 2, 7: 3, 11: 2, 13: 2}
+
+
+def test_verifier_tables_list_the_units_as_powers_of_one_generator():
+    import modent.modular as modular
+
+    assert ABOVE_VERIFIER_GUARD <= FIRST_PRIME_PAST_A_BYTE
+    for pp in [n for n in range(VERIFIER_PRIME_GUARD + 1) if is_prime(n)]:
+        _, p2, units, _, powers = modular._verifier_tables(PrimeModulus(pp))
+        assert sorted(powers) == units and powers[0] == 1
+        e = powers[1]
+        assert all(powers[k + 1] == powers[k] * e % p2 for k in range(len(powers) - 1))
+        assert powers[-1] * e % p2 == 1
+        if pp in GENERATORS:
+            assert verify_hom_uniqueness(PrimeModulus(pp)).data["generator"] == e == GENERATORS[pp]
+
+
 def test_additivity_check_counts_every_broken_pair_and_keeps_its_lines():
     import modent.modular as modular
 
-    _, p2, units, fq, rows = modular._verifier_tables(P5)
+    _, p2, units, fq, powers = modular._verifier_tables(P5)
     failures = Failures()
-    modular._add_non_additive(failures, fq, units, rows, 5, lambda a, b: f"{a}*{b}")
+    modular._add_non_additive(failures, fq, units, powers, 5, lambda a, b: f"{a}*{b}")
     assert failures.total == 0 and failures.lines == []
 
     # fq + 1 at the one unit c = 7 breaks (a, b) unless the 7s among ab, a and
@@ -311,7 +331,7 @@ def test_additivity_check_counts_every_broken_pair_and_keeps_its_lines():
     # b not in {1, 7}, the 18 with b = 7 and a not in {1, 7}, and (7, 7)
     planted = list(fq)
     planted[7] = (planted[7] + 1) % 5
-    modular._add_non_additive(failures, planted, units, rows, 5, lambda a, b: f"{a}*{b}")
+    modular._add_non_additive(failures, planted, units, powers, 5, lambda a, b: f"{a}*{b}")
     u = len(units)
     assert failures.total == 3 * (u - 2) + 1 == 55
     broken = [(a, b) for a in units for b in units if (a * b % p2 == 7) - (a == 7) - (b == 7)]
@@ -321,17 +341,22 @@ def test_additivity_check_counts_every_broken_pair_and_keeps_its_lines():
 
 @st.composite
 def tables_with_faults(draw):
-    """(p, a table over [0, p²) with values in [0, p)): c*fq or random, then one to six faults at units."""
+    """(p, a table over [0, p²) with values in [0, p)): c*fq or random, then one to six faults at units.
+
+    Faults fall often at 1 = e^0 and at the generator e = e^1, where the
+    rows read as slices of the table over the powers of e wrap around.
+    """
     import modent.modular as modular
 
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    _, p2, units, fq, _ = modular._verifier_tables(PrimeModulus(p))
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    _, p2, units, fq, powers = modular._verifier_tables(PrimeModulus(p))
     if draw(st.booleans()):
         c = draw(st.integers(0, p - 1))
         table = [c * v % p for v in fq]
     else:
         table = draw(st.lists(st.integers(0, p - 1), min_size=p2, max_size=p2))
-    faults = draw(st.lists(st.tuples(st.sampled_from(units), st.integers(1, p - 1)), min_size=1, max_size=6))
+    at = st.one_of(st.sampled_from(powers[:2]), st.sampled_from(units))
+    faults = draw(st.lists(st.tuples(at, st.integers(1, p - 1)), min_size=1, max_size=6))
     for u, shift in faults:
         table[u] = (table[u] + shift) % p
     return p, table
@@ -344,9 +369,9 @@ def test_row_check_matches_the_per_pair_reference(case):
     import modent.modular as modular
 
     p, table = case
-    _, _, units, _, rows = modular._verifier_tables(PrimeModulus(p))
+    _, _, units, _, powers = modular._verifier_tables(PrimeModulus(p))
     failures = Failures()
-    modular._add_non_additive(failures, table, units, rows, p, lambda a, b: f"{a}*{b}")
+    modular._add_non_additive(failures, table, units, powers, p, lambda a, b: f"{a}*{b}")
     pairs = non_additive_pairs(table, units, p)
     assert failures.total == len(pairs)
     assert failures.lines == [f"{a}*{b}" for a, b in pairs[:FAILURE_SAMPLES]]
@@ -358,13 +383,13 @@ def test_a_fault_in_one_candidate_follows_fqs_lines(monkeypatch):
     real = modular._add_non_additive
     seen = {}
 
-    def planted(failures, f, units, rows, q, line_of, fault_in):
+    def planted(failures, f, units, powers, q, line_of, fault_in):
         # add 1 at the unit 2 of each table whose line at (1, 1) is in fault_in
         if line_of(1, 1) in fault_in:
             f = list(f)
             f[2] = (f[2] + 1) % q
             seen[line_of(1, 1)] = non_additive_pairs(f, units, q)
-        real(failures, f, units, rows, q, line_of)
+        real(failures, f, units, powers, q, line_of)
 
     candidate = "candidate with e -> 2 is not a homomorphism"
     # the candidate alone at p = 5: fq and the other candidates stay clean

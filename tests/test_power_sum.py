@@ -8,6 +8,7 @@ share.
 """
 
 import random
+from fractions import Fraction
 from itertools import count
 
 from hypothesis import given, seed, settings
@@ -18,13 +19,17 @@ from modent.distributions import (
     ModDist,
     _measure_entropy,
     _power_sum,
+    compose,
     entropy,
     entropy_of_representatives,
     measure_entropy_of_representatives,
+    pad_zeros,
     tensor,
+    uniform,
 )
-from modent.finprob import FinProbSpace, info_loss, make_map
+from modent.finprob import FinProbSpace, convex_combine_maps, info_loss, make_map, terminal_map
 from modent.modular import PrimeModulus, is_prime
+from modent.residue import RationalDist, reduce_mod
 from oracles import measure_entropy_by_pow, power_sum_by_pow, random_mod_dist_values
 
 BIG_PRIME = next(n for n in count(2**80 + 1, 2) if is_prime(n))  # below is_prime's 3.3e24 limit
@@ -93,3 +98,59 @@ def test_tensor_additivity_on_ten_thousand_entries_at_a_61_bit_prime():
     assert len(product) == 10**4
     assert entropy(product) == entropy(a) + entropy(b)
     assert entropy(product).value == measure_entropy_by_pow(product.values(), M61.p)
+
+
+CONSTRUCTORS = ("ModDist", "compose", "tensor", "uniform", "pad_zeros", "reduce_mod", "convex_combine_maps")
+
+
+def _cut(rng, n, k):
+    """k positive lengths summing to n >= k."""
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [n])]
+
+
+@st.composite
+def dists_from_every_constructor(draw):
+    """(p, a ModDist of about n entries) from one constructor; all but ModDist skip the sum check.
+
+    n falls near p's crossover or anywhere up to twice it, so that both
+    power-sum paths run.
+    """
+    p = draw(st.sampled_from((2, 3, 7, 10007, 2**61 - 1)))
+    m = PrimeModulus(p)
+    crossover = -(-PRODUCT_PATH_BITS // p.bit_length())
+    n = draw(st.one_of(st.integers(max(1, crossover - 3), crossover + 3), st.integers(1, 2 * crossover)))
+    kind = draw(st.sampled_from(CONSTRUCTORS))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def dist(k):
+        return ModDist(m, random_mod_dist_values(rng, p, k))
+
+    k = rng.randint(1, min(n, 4))
+    if kind == "ModDist":
+        return p, dist(n)
+    if kind == "compose":
+        return p, compose(dist(k), [dist(length) for length in _cut(rng, n, k)])
+    if kind == "tensor":
+        return p, tensor(dist(k), dist(-(-n // k)))
+    if kind == "uniform":
+        return p, uniform(n + (n % p == 0), m)
+    if kind == "pad_zeros":
+        d = dist(k)
+        return p, pad_zeros(d, rng.randint(0, k), n - k)
+    if kind == "reduce_mod":
+        weights = [rng.randint(1, 100) for _ in range(n)]
+        weights[-1] += sum(weights) % p == 0  # a total coprime to p
+        return p, reduce_mod(RationalDist([Fraction(w, sum(weights)) for w in weights]), m)
+    spaces = [FinProbSpace(range(length), dist(length)) for length in _cut(rng, n, k)]
+    return p, convex_combine_maps(dist(k), [terminal_map(s) for s in spaces]).domain.dist
+
+
+@seed(SEED)
+@settings(max_examples=200, deadline=None)
+@given(dists_from_every_constructor())
+def test_entropy_of_a_dist_from_any_constructor_matches_one_pow_per_entry(case):
+    # entropy takes (sum a)^p = 1 mod p² on trust; the oracle computes it
+    p, d = case
+    assert sum(d.values()) % p == 1
+    assert entropy(d).value == measure_entropy_by_pow(d.values(), p)
