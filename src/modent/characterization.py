@@ -16,7 +16,7 @@ from itertools import accumulate, product
 from typing import NamedTuple
 
 from .distributions import compositions
-from .errors import InvalidDistribution, InvalidSize, RangeGuard, SumNotOne
+from .errors import InvalidDistribution, InvalidSize, ModulusMismatch, RangeGuard, SumNotOne
 from .modular import PrimeModulus
 from .verification import VerificationReport
 
@@ -438,8 +438,11 @@ def compare_with_entropy(solution: SolutionSpace, p: PrimeModulus, max_arity: in
 
     H-membership is asserted (the theorem's easy direction); a kernel
     dimension above 1 is reported, not failed, since a finite truncation of
-    the chain rule may be under-constrained.
+    the chain rule may be under-constrained.  A p other than the solution's
+    raises ModulusMismatch.
     """
+    if p != solution.p:
+        raise ModulusMismatch(f"a kernel mod {solution.p.p} compared with entropy mod {p.p}")
     h_vec = entropy_vector(solution.unknowns, p)
     contains = in_span(h_vec, solution)
     nonzero = any(h_vec)

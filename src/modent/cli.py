@@ -49,7 +49,7 @@ def parse_rational_dist(tokens) -> residue.RationalDist:
 
 def format_mod_dist(d) -> str:
     """Render a ModDist or ModMeasure as `p:v1,...,vn`."""
-    return f"{d.p.p}:" + ",".join(str(v) for v in d.values())
+    return f"{d.p.p}:" + ",".join(map(str, d.values()))
 
 
 def format_rational_dist(d: residue.RationalDist) -> str:

@@ -22,7 +22,7 @@ from .errors import (
     ModulusMismatch,
     SumNotOne,
 )
-from .modular import PrimeModulus, Residue, _fq, as_int, as_ints
+from .modular import PrimeModulus, Residue, _fq, _Frozen, as_int, as_ints
 
 # Inputs with len(reps) * p.bit_length() below this take one pow per entry.
 # Measured crossover, one call each way: 250-600 bits for p from 3 to
@@ -43,7 +43,7 @@ def compositions(total: int, parts: int):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
-class _Entries:
+class _Entries(_Frozen):
     """An immutable tuple of ints in [0, p), read as Residues through iteration and indexing."""
 
     __slots__ = ("p", "_values")
@@ -55,9 +55,6 @@ class _Entries:
         _set_p(entries, p)
         _set_values(entries, values)
         return entries
-
-    def __setattr__(self, name, val):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __len__(self):
         return len(self._values)
@@ -81,7 +78,6 @@ class _Entries:
         return f"{type(self).__name__}(p={self.p.p}, {self._values})"
 
 
-# the slots' own setters, which bypass the __setattr__ that makes entries immutable
 _set_p, _set_values = _Entries.p.__set__, _Entries._values.__set__
 
 

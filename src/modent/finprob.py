@@ -17,12 +17,12 @@ from .errors import (
     ParseError,
     UnknownLabel,
 )
-from .modular import PrimeModulus, Residue
+from .modular import PrimeModulus, Residue, _Frozen
 
 TERMINAL_LABEL = "*"
 
 
-class FinProbSpace:
+class FinProbSpace(_Frozen):
     """A finite set of distinct labels carrying a distribution mod p."""
 
     __slots__ = ("labels", "dist", "_index")
@@ -37,9 +37,6 @@ class FinProbSpace:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FinProbSpace is immutable")
 
     @property
     def p(self) -> PrimeModulus:
@@ -65,7 +62,7 @@ class FinProbSpace:
         return f"FinProbSpace({self.labels}, {self.dist})"
 
 
-class MPMap:
+class MPMap(_Frozen):
     """A measure-preserving map between finite probability spaces mod p.
 
     Construct through make_map, which checks the fibre-sum condition.
@@ -77,9 +74,6 @@ class MPMap:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "mapping", dict(mapping))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("MPMap is immutable")
 
     def __call__(self, label):
         return self.mapping[label]

@@ -23,11 +23,10 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # Bounds p for the exhaustive verifiers, whose checks grow as p^4 and p^5; it
 # must stay below 256, so that a table's values fit in a byte.  At the limit
-# `verify_fq_laws` takes 0.76-0.80 s and `verify_hom_uniqueness` 1.04-1.16 s,
-# at 17 MB, and `modent verify-core` 2.0-2.1 s at 18 MB (fresh processes,
-# 2-core VM, Python 3.11.7); p = 127 takes 1.33-1.55 s and 1.88-2.10 s, and
-# `verify-core` 3.2-3.4 s at 19 MB, more than p = 41 cost with a stored row
-# of product indices per unit (`verify-core` 2.2-3.0 s at 37 MB, same VM).
+# `verify_fq_laws` takes 0.18-0.24 s and `verify_hom_uniqueness` 0.94-1.07 s,
+# at 17 MB, and `modent verify-core` 1.2-1.5 s at 18 MB (fresh processes,
+# 2-core VM, Python 3.11.7); p = 127 takes 0.34-0.45 s and 1.83-2.04 s, and
+# `verify-core` 2.4-2.7 s at 19 MB.
 VERIFIER_PRIME_GUARD = 113
 
 
@@ -59,16 +58,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeModulus:
+class _Frozen:
+    """Base of the value types, which refuse to set or delete an attribute.
+
+    Constructors, and `__setstate__` for copy and pickle, set slots through
+    `object.__setattr__`, or on hot paths through a slot's own `__set__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for part in state:
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
+
+class PrimeModulus(_Frozen):
     """A prime p, possibly 2, validated at construction; immutable."""
+
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("PrimeModulus is immutable")
 
     def __eq__(self, other):
         return other.__class__ is self.__class__ and self.p == other.p
@@ -103,15 +121,12 @@ def as_int(value, modulus: PrimeModulus, lifted: bool = False) -> int:
 
 
 def as_ints(values, modulus: PrimeModulus) -> tuple:
-    """`as_int` over a sequence, with one type scan when every value is a plain int."""
-    values = tuple(values)
-    if set(map(type, values)) <= {int}:
-        p = modulus.p
-        return tuple([v % p for v in values])
-    return tuple([as_int(v, modulus) for v in values])
+    """`as_int` over a sequence, in one pass that calls it only for a value not a plain int."""
+    p = modulus.p
+    return tuple([v % p if type(v) is int else as_int(v, modulus) for v in values])
 
 
-class _Canonical:
+class _Canonical(_Frozen):
     """An int `value` in [0, m) and its PrimeModulus, m being p or, when lifted, p².
 
     It equals an element of the same class and prime with the same value,
@@ -134,9 +149,6 @@ class _Canonical:
         _set_modulus(element, modulus)
         return element
 
-    def __setattr__(self, name, val):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.value == other
@@ -150,7 +162,6 @@ class _Canonical:
         return self.value
 
 
-# the slots' own setters, which bypass the __setattr__ that makes elements immutable
 _set_value, _set_modulus = _Canonical.value.__set__, _Canonical.modulus.__set__
 
 
@@ -320,7 +331,8 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
       1. fq(mn) = fq(m) + fq(n), and fq(1) = 0;
       2. fq(n + rp) = fq(n) - r/n;
       3. fq(n + p²) = fq(n).
-    Law 1 reads fq(mn mod p²) from the table, which law 3 ties to fq beyond p².
+    Laws 1 and 2 read fq(mn mod p²) and fq(n + rp mod p²) from the table, which
+    law 3 ties to fq beyond p².
     """
     q, p2, units, fq, powers = _verifier_tables(p)
     failures = Failures()
@@ -331,8 +343,9 @@ def verify_fq_laws(p: PrimeModulus) -> VerificationReport:
     _add_non_additive(failures, fq, units, powers, q, lambda m, n: f"fq({m}*{n}) != fq({m}) + fq({n})")
     for n in units:
         fn, inv_n = fq[n], pow(n, -1, q)
-        bad = [r for r in range(q) if _fq(n + r * q, q, p2) != (fn - r * inv_n) % q]
-        failures.add(bad, lambda r: f"fq({n} + {r}p) != fq({n}) - {r}/{n}")
+        bad = [r for r in range(q) if fq[(n + r * q) % p2] != (fn - r * inv_n) % q]
+        if bad:
+            failures.add(bad, lambda r: f"fq({n} + {r}p) != fq({n}) - {r}/{n}")
     bad = [n for n in units if _fq(n + p2, q, p2) != fq[n]]
     failures.add(bad, lambda n: f"fq({n} + p^2) != fq({n})")
     return VerificationReport(

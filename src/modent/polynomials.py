@@ -12,6 +12,7 @@ checked pointwise.
 """
 
 from itertools import accumulate, product
+from math import comb
 from operator import add, mul
 
 from .distributions import compositions
@@ -24,7 +25,7 @@ from .errors import (
     ModulusMismatch,
     RangeGuard,
 )
-from .modular import PrimeModulus, Residue
+from .modular import PrimeModulus, Residue, _Frozen
 from .verification import Failures, VerificationReport
 
 # Bound the identity checks.  Blocks are positive, so six block variables make
@@ -35,6 +36,14 @@ from .verification import Failures, VerificationReport
 IDENTITY_PRIME_GUARD = 31
 GROUPING_SIZE_GUARD = 6
 INTERPOLATE_WORK_GUARD = 250_000  # bounds max(n, 1) * p^(n+1), see interpolate
+# Bounds the terms entropy_poly and pounds1 build, and entropy_poly's exponent
+# entries (n per term), at their counts in h at (31, 6), that is at
+# (IDENTITY_PRIME_GUARD, GROUPING_SIZE_GUARD), the costliest cell the identity
+# checks accept: 0.52-0.89 s at 133 MB.  pounds1 at p = 376 969 takes
+# 0.71-1.09 s at 126 MB, and h at (2, 165), the largest n accepted, 1.7-2.0 s at
+# 52 MB; a bound on the terms alone would accept (2, 868), whose prefixes cost
+# about n^4/8 tuple entries (fresh processes, 2-core VM, Python 3.11.7).
+POLY_TERM_GUARD = 376_986
 
 _SHORT_NAMES = ("x", "y", "z")
 
@@ -65,7 +74,7 @@ def _product(f: dict, g: dict, q: int) -> dict:
     return _reduced(acc, q)
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """A polynomial over Z/pZ, stored as exponent-vector -> nonzero coefficient.
 
     `MultiPoly(p, nvars, terms)` validates and canonicalizes outside input:
@@ -110,9 +119,6 @@ class MultiPoly:
         poly = object.__new__(cls)
         poly._set(p, nvars, terms)
         return poly
-
-    def __setattr__(self, name, val):
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def zero(cls, p: PrimeModulus, nvars: int) -> "MultiPoly":
@@ -326,6 +332,15 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     if not isinstance(n, int) or n < 0:
         raise InvalidPolynomial(f"n must be a nonnegative int, got {n!r}")
     q = p.p
+    # h has C(q + n - 1, n - 1) - n terms, at least n(n - 1)/2 for n >= 2, so a
+    # huge n is refused before the binomial is computed.  Weighting the terms by
+    # max(n, GROUPING_SIZE_GUARD) bounds both them and the exponent entries.
+    if n > 1 and (
+        n * (n - 1) // 2 > POLY_TERM_GUARD
+        or max(n, GROUPING_SIZE_GUARD) * (comb(q + n - 1, n - 1) - n)
+        > GROUPING_SIZE_GUARD * POLY_TERM_GUARD
+    ):
+        raise RangeGuard(f"h in {n} variables mod {q} exceeds the guard of {POLY_TERM_GUARD} terms")
     # 1/r! for r < q, from the running product r! mod q
     inv_factorial = [pow(f, -1, q) for f in accumulate(range(1, q), lambda f, r: f * r % q, initial=1)]
     # the first n - 1 exponents, variable by variable, each prefix with its
@@ -344,6 +359,8 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
 
 def pounds1(p: PrimeModulus) -> MultiPoly:
     """h(x, 1-x) in closed form: sum x^r/r for odd p, x + x^2 for p = 2."""
+    if p.p - 1 > POLY_TERM_GUARD:
+        raise RangeGuard(f"pounds1 mod {p.p} has over {POLY_TERM_GUARD} terms")
     if p.p == 2:
         return MultiPoly(p, 1, {(1,): 1, (2,): 1})
     return MultiPoly(p, 1, {(r,): pow(r, -1, p.p) for r in range(1, p.p)})

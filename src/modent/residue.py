@@ -19,7 +19,7 @@ from numbers import Rational
 
 from .distributions import ModDist, entropy
 from .errors import DenominatorDivisibleByP, InvalidDistribution, NotCommonDenominator, ParseError, SumNotOne
-from .modular import PrimeModulus, Residue
+from .modular import PrimeModulus, Residue, _Frozen
 from .verification import VerificationReport
 
 
@@ -49,7 +49,7 @@ def _rational(q) -> Fraction:
     return Fraction(q)
 
 
-class RationalDist:
+class RationalDist(_Frozen):
     """A tuple of exact nonnegative rationals summing to 1, in lowest terms.
 
     Entries are strs, ints or other rationals such as `Fraction`; a float or
@@ -74,9 +74,6 @@ class RationalDist:
                 text = f"a fraction of a {num}-bit over a {den}-bit int"
             raise SumNotOne(total, f"entries sum to {text}, expected 1")
         object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("RationalDist is immutable")
 
     def __len__(self):
         return len(self.probs)

@@ -20,7 +20,7 @@ from modent.characterization import (
     spanning_instances,
 )
 from modent.distributions import ModDist, compose, compositions
-from modent.errors import InvalidDistribution, RangeGuard, SumNotOne
+from modent.errors import InvalidDistribution, ModulusMismatch, RangeGuard, SumNotOne
 from modent.modular import PrimeModulus
 from oracles import dense_kernel
 
@@ -218,6 +218,15 @@ def test_underconstrained_truncations_are_reported_not_failed():
     assert report.data["dimension"] == 2
     assert not report.data["kernel_is_entropy_line"]
     assert report.data["extra_dimensions"] == 1
+
+
+@pytest.mark.parametrize("solved,p,n", [(2, 3, 2), (3, 5, 3)])
+def test_compare_with_entropy_refuses_another_prime(solved, p, n):
+    # unchecked, a kernel mod 2 read at p = 3 passes as if it were mod 3, and
+    # one mod 3 read at p = 5 raises a misleading SumNotOne
+    solution = solve(build_system(PrimeModulus(solved), n))
+    with pytest.raises(ModulusMismatch):
+        compare_with_entropy(solution, PrimeModulus(p), n)
 
 
 def test_padding_relations_hold_in_every_solution():

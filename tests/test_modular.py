@@ -1,17 +1,19 @@
 """Tests for residue arithmetic, the Fermat quotient and the p-derivation."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from modent.errors import DivisibleByP, ModentError, ModulusMismatch, NotPrime, RangeGuard
+from modent.errors import DivisibleByP, InvalidResidue, ModentError, ModulusMismatch, NotPrime, RangeGuard
 from modent.modular import (
     VERIFIER_PRIME_GUARD,
     LiftedResidue,
     PrimeModulus,
     Residue,
+    as_ints,
     fermat_quotient,
     fq_section,
     is_prime,
@@ -265,6 +267,22 @@ def test_non_integer_values_raise_invalid_residue_at_every_edge():
         fermat_quotient(LiftedResidue(2, P5), P3)
     assert fermat_quotient(LiftedResidue(11, P3), P3) == fermat_quotient(2, P3)
     assert p_derivation(True, P3) == p_derivation(1, P3)
+
+
+def test_as_ints_reduces_ints_bools_and_residues_and_reports_the_first_bad_entry():
+    assert as_ints([0, 1, -1, 7, 10**20, -(10**30) - 3], P5) == (0, 1, 4, 2, 0, 2)
+    assert as_ints([True, False, True, 3], P5) == (1, 0, 1, 3)
+    assert as_ints([Residue(3, P5), 2, Residue(4, P5), True], P5) == (3, 2, 4, 1)
+    assert as_ints((k * k for k in range(6)), P5) == (0, 1, 4, 4, 1, 0)
+    assert as_ints([], P5) == ()
+    for values, error, text in (
+        ([1, "a", 2.0], InvalidResidue, "residue value 'a' is neither an int nor a Residue"),
+        ([1, 2.0, "a"], InvalidResidue, "residue value 2.0 is neither an int nor a Residue"),
+        ([1, Residue(1, P3), "a"], ModulusMismatch, "residue mod 3 given for mod 5"),
+        ([Residue(1, P5), LiftedResidue(6, P5), 2], InvalidResidue, "LiftedResidue(6, mod 5^2) is neither"),
+    ):
+        with pytest.raises(error, match=re.escape(text)):
+            as_ints(values, P5)
 
 
 def test_verifiers_cap_failure_lines_and_count_every_failure(monkeypatch):

@@ -20,6 +20,7 @@ from modent.errors import (
 )
 from modent.modular import PrimeModulus, Residue
 from modent.polynomials import (
+    POLY_TERM_GUARD,
     MultiPoly,
     check_cocycle,
     check_fundamental,
@@ -163,6 +164,19 @@ def test_entropy_poly_at_a_large_prime_matches_wilson():
     q = 10007
     expected = {(r, q - r): (-1) ** (r + 1) * pow(r, -1, q) % q for r in range(1, q)}
     assert entropy_poly(2, PrimeModulus(q)).terms == expected
+
+
+def test_entropy_poly_and_pounds1_refuse_terms_beyond_the_guard():
+    # the limit is h at (31, 6), the costliest cell the identity checks accept
+    assert len(entropy_poly(6, PrimeModulus(31)).terms) == comb(36, 5) - 6 == POLY_TERM_GUARD
+    # (2, 166) has fewer terms but more exponent entries; 10^30 is refused
+    # before any binomial is computed
+    for n, q in ((7, 31), (6, 37), (3, 10007), (166, 2), (10**30, 3)):
+        with pytest.raises(RangeGuard):
+            entropy_poly(n, PrimeModulus(q))
+    assert len(pounds1(PrimeModulus(10007)).terms) == 10006
+    with pytest.raises(RangeGuard):
+        pounds1(PrimeModulus(10**9 + 7))
 
 
 def test_entropy_poly_matches_multinomial_oracle():
