@@ -13,7 +13,7 @@ checked pointwise.
 
 from itertools import accumulate, product
 from math import comb
-from operator import add, mul
+from operator import mul
 
 from .distributions import compositions
 from .errors import (
@@ -25,14 +25,14 @@ from .errors import (
     ModulusMismatch,
     RangeGuard,
 )
-from .modular import PrimeModulus, Residue, _Frozen
+from .modular import PrimeModulus, Residue, _Frozen, as_ints
 from .verification import Failures, VerificationReport
 
 # Bound the identity checks.  Blocks are positive, so six block variables make
 # at most six blocks.  At p = 31 the costliest cells have six blocks of size 1:
-# check_poly_chain_rule takes 12.9-16.6 s at 258 MB and check_grouping
-# 6.7-8.7 s at 220 MB (one fresh process per cell, 2-core VM, Python 3.11);
-# `modent identities --p 31` takes 0.5 s at 19 MB.
+# check_poly_chain_rule takes 3.6-3.8 s at 274 MB and check_grouping
+# 2.1-2.7 s at 236 MB (one fresh process per cell, 2-core VM, Python 3.11);
+# `modent identities --p 31` takes 0.17 s at 20 MB.
 IDENTITY_PRIME_GUARD = 31
 GROUPING_SIZE_GUARD = 6
 INTERPOLATE_WORK_GUARD = 250_000  # bounds max(n, 1) * p^(n+1), see interpolate
@@ -59,19 +59,45 @@ def _coefficient(c, p: PrimeModulus) -> int:
     return c % p.p
 
 
-def _reduced(acc: dict, q: int) -> dict:
-    """Reduce accumulated coefficients mod q, dropping those that vanish."""
-    return {e: r for e, v in acc.items() if (r := v % q)}
+def _check_prime(p):
+    if not isinstance(p, PrimeModulus):
+        raise InvalidPolynomial(f"the prime must be a PrimeModulus, got {p!r}")
 
 
-def _product(f: dict, g: dict, q: int) -> dict:
-    """The product of two canonical term dicts, canonical."""
+def _field_bytes(bound: int) -> int:
+    """Bytes per exponent field, so that fields holding up to `bound` never carry."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _packed(terms: dict, nvars: int, width: int) -> list:
+    """A term dict as (exponents packed into one int, `width` bytes a field, coefficient) pairs."""
+    if width == 1:
+        return [(int.from_bytes(exps, "little"), c) for exps, c in terms.items()]
+    shifts = range(0, 8 * width * nvars, 8 * width)
+    return [(sum(e << s for e, s in zip(exps, shifts)), c) for exps, c in terms.items()]
+
+
+def _unpacked(pairs, q: int, nvars: int, width: int) -> dict:
+    """The canonical term dict of (packed exponents, coefficient) pairs with distinct keys."""
+    if width == 1:
+        return {tuple(k.to_bytes(nvars, "little")): r for k, v in pairs if (r := v % q)}
+    shifts = range(0, 8 * width * nvars, 8 * width)
+    mask = (1 << 8 * width) - 1
+    return {tuple([k >> s & mask for s in shifts]): r for k, v in pairs if (r := v % q)}
+
+
+def _product(f: list, g: list, q: int) -> list:
+    """The product of two packed term lists, reduced mod q, with zero terms dropped.
+
+    Adding two packed keys adds their exponents field by field, which holds
+    only while the caller's field width bounds every exponent of the product.
+    """
     acc = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(map(add, e1, e2))
+    for e1, c1 in f:
+        for e2, c2 in g:
+            e = e1 + e2
             acc[e] = acc.get(e, 0) + c1 * c2
-    return _reduced(acc, q)
+    return [(e, r) for e, v in acc.items() if (r := v % q)]
 
 
 class MultiPoly(_Frozen):
@@ -88,15 +114,18 @@ class MultiPoly(_Frozen):
     __slots__ = ("p", "nvars", "terms")
 
     def __init__(self, p: PrimeModulus, nvars: int, terms=()):
-        if not isinstance(p, PrimeModulus):
-            raise InvalidPolynomial(f"the prime must be a PrimeModulus, got {p!r}")
+        _check_prime(p)
         if not isinstance(nvars, int) or nvars < 0:
             raise InvalidPolynomial(f"the number of variables must be a nonnegative int, got {nvars!r}")
         q = p.p
         canonical = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for exps, c in items:
-            exps = tuple(exps)
+        for item in items:
+            try:
+                exps, c = item
+                exps = tuple(exps)
+            except (TypeError, ValueError):
+                raise InvalidPolynomial(f"term {item!r} is not an (exponents, coefficient) pair") from None
             if len(exps) != nvars:
                 raise ArityMismatch(f"exponent vector {exps} in a {nvars}-variable polynomial")
             if not all(isinstance(e, int) and e >= 0 for e in exps):
@@ -130,6 +159,8 @@ class MultiPoly(_Frozen):
 
     @classmethod
     def variable(cls, p: PrimeModulus, nvars: int, index: int) -> "MultiPoly":
+        if not (isinstance(nvars, int) and isinstance(index, int)):
+            raise InvalidPolynomial(f"variable {index!r} of {nvars!r} variables: both must be ints")
         if not 0 <= index < nvars:
             raise IndexOutOfRange(f"variable {index} of a {nvars}-variable polynomial")
         exps = [0] * nvars
@@ -140,7 +171,7 @@ class MultiPoly(_Frozen):
         return not self.terms
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def _check_compatible(self, other: "MultiPoly"):
         if self.p != other.p:
@@ -190,22 +221,25 @@ class MultiPoly(_Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return MultiPoly._canonical(self.p, self.nvars, _product(self.terms, other.terms, self.p.p))
+        nvars, q = self.nvars, self.p.p
+        width = _field_bytes(self.total_degree() + other.total_degree())
+        pairs = _product(_packed(self.terms, nvars, width), _packed(other.terms, nvars, width), q)
+        return MultiPoly._canonical(self.p, nvars, _unpacked(pairs, q, nvars, width))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise InvalidPolynomial(f"power {exponent!r} of a polynomial is not a nonnegative int")
-        result = MultiPoly.constant(self.p, self.nvars, 1)
-        base = self
-        e = exponent
+        nvars, q = self.nvars, self.p.p
+        width = _field_bytes(exponent * self.total_degree())
+        result, base, e = [(0, 1)], _packed(self.terms, nvars, width), exponent
         while e:
             if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
+                result = _product(result, base, q)
+            base = _product(base, base, q) if e > 1 else base
             e >>= 1
-        return result
+        return MultiPoly._canonical(self.p, nvars, _unpacked(result, q, nvars, width))
 
     def __eq__(self, other):
         return (
@@ -246,35 +280,38 @@ class MultiPoly(_Frozen):
             raise ArityMismatch(f"{len(args)} substitutions for {self.nvars} variables")
         if not args:
             return MultiPoly._canonical(self.p, 0, dict(self.terms))
-        nvars = args[0].nvars
         for a in args:
+            if not isinstance(a, MultiPoly):
+                raise InvalidPolynomial(f"substitution {a!r} is not a MultiPoly")
             if a.p != self.p:
                 raise ModulusMismatch("substitution over a different prime")
-            if a.nvars != nvars:
+            if a.nvars != args[0].nvars:
                 raise ArityMismatch("substitution arguments must share a variable set")
-        # power tables of term dicts: powers[i][e] = args[i]**e, built incrementally
-        q = self.p.p
-        max_exp = [0] * self.nvars
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                max_exp[i] = max(max_exp[i], e)
-        one = {(0,) * nvars: 1}
+        nvars, q = args[0].nvars, self.p.p
+        # every exponent of the result, of each power of an argument and of
+        # each partial product is at most deg self * max deg args[i]
+        width = _field_bytes(self.total_degree() * max(a.total_degree() for a in args))
+        # power rows of packed term lists: powers[i][e] = args[i]**e
+        one = [(0, 1)]
         powers = []
-        for a, m in zip(args, max_exp):
+        for a, m in zip(args, map(max, zip(*self.terms))):
+            base = _packed(a.terms, nvars, width)
             row = [one]
             for _ in range(m):
-                row.append(_product(row[-1], a.terms, q))
+                row.append(_product(row[-1], base, q))
             powers.append(row)
-        # every term's expansion is added into one dict, scaled by its coefficient
+        # each term expands as a list product over its rows, into one accumulator
         acc = {}
         for exps, c in self.terms.items():
             term = one
             for row, e in zip(powers, exps):
-                if e:
-                    term = row[e] if term is one else _product(term, row[e], q)
-            for e, k in term.items():
-                acc[e] = acc.get(e, 0) + c * k
-        return MultiPoly._canonical(self.p, nvars, _reduced(acc, q))
+                if e and term is one:
+                    term = row[e]
+                elif e:
+                    term = [(k1 + k2, c1 * c2) for k1, c1 in term for k2, c2 in row[e]]
+            for k, v in term:
+                acc[k] = acc.get(k, 0) + c * v
+        return MultiPoly._canonical(self.p, nvars, _unpacked(acc.items(), q, nvars, width))
 
     def embed(self, nvars: int, positions) -> "MultiPoly":
         """View this polynomial inside a larger variable set.
@@ -282,6 +319,8 @@ class MultiPoly(_Frozen):
         positions[i] is the index that variable i maps to.
         """
         positions = tuple(positions)
+        if not all(isinstance(i, int) for i in (nvars, *positions)):
+            raise InvalidPolynomial(f"variable count {nvars!r} and positions {positions!r} must be ints")
         if len(positions) != self.nvars:
             raise ArityMismatch("one position per variable required")
         if len(set(positions)) != len(positions) or not set(positions) <= set(range(nvars)):
@@ -331,6 +370,7 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidPolynomial(f"n must be a nonnegative int, got {n!r}")
+    _check_prime(p)
     q = p.p
     # h has C(q + n - 1, n - 1) - n terms, at least n(n - 1)/2 for n >= 2, so a
     # huge n is refused before the binomial is computed.  Weighting the terms by
@@ -359,6 +399,7 @@ def entropy_poly(n: int, p: PrimeModulus) -> MultiPoly:
 
 def pounds1(p: PrimeModulus) -> MultiPoly:
     """h(x, 1-x) in closed form: sum x^r/r for odd p, x + x^2 for p = 2."""
+    _check_prime(p)
     if p.p - 1 > POLY_TERM_GUARD:
         raise RangeGuard(f"pounds1 mod {p.p} has over {POLY_TERM_GUARD} terms")
     if p.p == 2:
@@ -368,6 +409,8 @@ def pounds1(p: PrimeModulus) -> MultiPoly:
 
 def homogenize(f: MultiPoly, p: PrimeModulus) -> MultiPoly:
     """G(u, v) = v^p * f(u/v) for univariate f with deg f <= p."""
+    if not isinstance(f, MultiPoly):
+        raise InvalidPolynomial(f"{f!r} is not a MultiPoly")
     if f.nvars != 1:
         raise ArityMismatch("homogenization expects a univariate polynomial")
     if f.p != p:
@@ -386,6 +429,7 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
     """
     if not isinstance(n, int) or n < 0:
         raise InvalidPolynomial(f"nvars must be a nonnegative int, got {n!r}")
+    _check_prime(p)
     q = p.p
     # n q^(n+1) products in the n passes, q^2 entries of U; q^(n+1) >= 2^(n+1),
     # so a huge n is refused before q^(n+1) is computed
@@ -394,7 +438,7 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
     # u[s][a] is the x^s coefficient of 1 - (x - a)^(p-1), as
     # binom(p-1, s) = (-1)^s mod p makes (x - a)^(p-1) = sum a^(p-1-s) x^s
     u = [[((s == 0) - pow(a, q - 1 - s, q)) % q for a in range(q)] for s in range(q)]
-    values = [int(table(pt)) % q for pt in product(range(q), repeat=n)]
+    values = as_ints(map(table, product(range(q), repeat=n)), p)
     # each pass expands the first axis and moves it to the end, so after n
     # passes every axis is expanded and back in its place
     for _ in range(n):
@@ -405,13 +449,13 @@ def interpolate(table, p: PrimeModulus, n: int) -> MultiPoly:
 
 
 def _check_identity_guard(p: PrimeModulus):
+    _check_prime(p)
     if p.p > IDENTITY_PRIME_GUARD:
         raise RangeGuard(f"identity checks capped at p <= {IDENTITY_PRIME_GUARD}, got {p.p}")
 
 
 def _report(name: str, lhs: MultiPoly, rhs: MultiPoly, data=None) -> VerificationReport:
-    diff = lhs - rhs
-    failures = () if diff.is_zero() else (f"difference has {len(diff.terms)} nonzero terms",)
+    failures = () if lhs.terms == rhs.terms else (f"difference has {len((lhs - rhs).terms)} nonzero terms",)
     return VerificationReport(name, 1, failures, data or {})
 
 
@@ -444,9 +488,9 @@ def check_grouping(n: int, ks, p: PrimeModulus) -> VerificationReport:
     within = MultiPoly.zero(p, m)
     for k, vs in zip(ks, block_vars):
         within = within + entropy_poly(k, p).embed(m, vs)
-    return _report(
-        "grouping", whole, grouped + within, {"p": p.p, "n": n, "ks": ks}
-    )
+    rhs = grouped + within
+    data = {"p": p.p, "n": n, "ks": ks, "lhs_terms": len(whole.terms), "rhs_terms": len(rhs.terms)}
+    return _report("grouping", whole, rhs, data)
 
 
 def check_poly_chain_rule(n: int, ks, p: PrimeModulus) -> VerificationReport:
@@ -465,9 +509,9 @@ def check_poly_chain_rule(n: int, ks, p: PrimeModulus) -> VerificationReport:
     rest = MultiPoly.zero(p, nv)
     for i, (k, vs) in enumerate(zip(ks, y_index)):
         rest = rest + xs[i] ** p.p * entropy_poly(k, p).embed(nv, vs)
-    return _report(
-        "poly_chain_rule", lhs, mid + rest, {"p": p.p, "n": n, "ks": ks}
-    )
+    rhs = mid + rest
+    data = {"p": p.p, "n": n, "ks": ks, "lhs_terms": len(lhs.terms), "rhs_terms": len(rhs.terms)}
+    return _report("poly_chain_rule", lhs, rhs, data)
 
 
 def check_cocycle(p: PrimeModulus) -> VerificationReport:

@@ -7,6 +7,7 @@ enumeration, deliberately avoiding the code paths under test.
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm, prod
+from operator import add
 
 
 def fq_big(a: int, p: int) -> int:
@@ -63,6 +64,55 @@ def entropy_poly_terms(n: int, p: int) -> dict:
             denom = prod(factorial(x) for x in r) % p
             terms[r] = (-pow(denom, -1, p)) % p
     return terms
+
+
+def _reduced(acc: dict, q: int) -> dict:
+    """Reduce accumulated coefficients mod q, dropping those that vanish."""
+    return {e: r for e, v in acc.items() if (r := v % q)}
+
+
+def _product(f: dict, g: dict, q: int) -> dict:
+    """The product of two canonical term dicts, canonical."""
+    acc = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return _reduced(acc, q)
+
+
+def compose_by_power_tables(f, args) -> dict:
+    """The terms of f(args) for MultiPolys, from power tables of tuple-keyed term dicts.
+
+    Exponent vectors stay tuples added entry by entry, so no field width
+    bounds them; each argument's powers are built one product at a time.
+    """
+    if not args:
+        return dict(f.terms)
+    nvars = args[0].nvars
+    # power tables of term dicts: powers[i][e] = args[i]**e, built incrementally
+    q = f.p.p
+    max_exp = [0] * f.nvars
+    for exps in f.terms:
+        for i, e in enumerate(exps):
+            max_exp[i] = max(max_exp[i], e)
+    one = {(0,) * nvars: 1}
+    powers = []
+    for a, m in zip(args, max_exp):
+        row = [one]
+        for _ in range(m):
+            row.append(_product(row[-1], a.terms, q))
+        powers.append(row)
+    # every term's expansion is added into one dict, scaled by its coefficient
+    acc = {}
+    for exps, c in f.terms.items():
+        term = one
+        for row, e in zip(powers, exps):
+            if e:
+                term = row[e] if term is one else _product(term, row[e], q)
+        for e, k in term.items():
+            acc[e] = acc.get(e, 0) + c * k
+    return _reduced(acc, q)
 
 
 def power_product(nums) -> int:

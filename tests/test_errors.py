@@ -26,15 +26,26 @@ from modent.errors import (
     InvalidResidue,
     InvalidSize,
     ModentError,
+    ModulusMismatch,
     NotCommonDenominator,
     UnknownLabel,
 )
 from modent.finprob import FinProbSpace, convex_combine_maps, make_map
 from modent.modular import PrimeModulus, Residue
-from modent.polynomials import MultiPoly, check_grouping, check_poly_chain_rule, entropy_poly, interpolate
+from modent.polynomials import (
+    MultiPoly,
+    check_fundamental,
+    check_grouping,
+    check_poly_chain_rule,
+    entropy_poly,
+    homogenize,
+    interpolate,
+)
 from modent.residue import RationalDist, scaled_numerators
 
 P3 = PrimeModulus(3)
+P5 = PrimeModulus(5)
+X = MultiPoly.variable(P3, 1, 0)
 
 
 def _point():
@@ -69,6 +80,17 @@ CASES = {
     "uniform size not an int": (InvalidSize, lambda: uniform("2", P3)),
     "pad_zeros count a float": (InvalidSize, lambda: pad_zeros(ModDist(P3, (1,)), 0, 1.5)),
     "pad_zeros position not an int": (InvalidSize, lambda: pad_zeros(ModDist(P3, (1,)), "0", 1)),
+    "compose argument not a polynomial": (InvalidPolynomial, lambda: X.compose([3])),
+    "embed count not an int": (InvalidPolynomial, lambda: X.embed("3", (0,))),
+    "embed position a float": (InvalidPolynomial, lambda: X.embed(3, (0.0,))),
+    "variable index not an int": (InvalidPolynomial, lambda: MultiPoly.variable(P3, 2, "0")),
+    "variable count a float": (InvalidPolynomial, lambda: MultiPoly.variable(P3, 2.0, 0)),
+    "homogenize not a polynomial": (InvalidPolynomial, lambda: homogenize(3, P3)),
+    "check_fundamental not a polynomial": (InvalidPolynomial, lambda: check_fundamental(3, P3)),
+    "entropy_poly prime an int": (InvalidPolynomial, lambda: entropy_poly(2, 5)),
+    "check_grouping prime an int": (InvalidPolynomial, lambda: check_grouping(1, (1,), 5)),
+    "MultiPoly term not a pair": (InvalidPolynomial, lambda: MultiPoly(P3, 1, [(1,)])),
+    "MultiPoly exponents not a sequence": (InvalidPolynomial, lambda: MultiPoly(P3, 1, {1: 1})),
 }
 
 
@@ -95,6 +117,26 @@ def test_representatives_that_are_not_ints_are_typed_type_errors(name):
     with pytest.raises(InvalidResidue) as info:
         NOT_INT_REPRESENTATIVES[name]()
     assert isinstance(info.value, ModentError) and isinstance(info.value, TypeError)
+
+
+# a table value that is not an int or a residue mod p is refused, where it
+# used to be truncated by int() or reduced mod another prime
+BAD_TABLE_VALUES = {
+    "float": (InvalidResidue, 1.7),
+    "fraction": (InvalidResidue, Fraction(7, 2)),
+    "residue of another prime": (ModulusMismatch, Residue(1, P3)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TABLE_VALUES)
+def test_interpolate_refuses_table_values_that_are_not_residues_mod_p(name):
+    error, value = BAD_TABLE_VALUES[name]
+    with pytest.raises(error) as info:
+        interpolate(lambda pt: value if pt == (1,) else 0, P5, 1)
+    assert isinstance(info.value, ModentError)
+    assert interpolate(lambda pt: Residue(3, P5) if pt == (1,) else True, P5, 1) == interpolate(
+        lambda pt: 3 if pt == (1,) else 1, P5, 1
+    )
 
 
 def test_cli_reports_typed_errors_with_exit_2(capsys):

@@ -1,4 +1,5 @@
-"""Property tests for MultiPoly, with sympy as an independent expansion oracle.
+"""Property tests for MultiPoly, with sympy and the power-table compose of
+`oracles` as independent expansion oracles.
 
 Every operation builds its result without re-validating it, so each result
 here is also checked to be canonical: tuple keys of length nvars,
@@ -7,12 +8,14 @@ nonnegative int exponents and int coefficients in [1, p).
 
 from itertools import product
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modent.modular import PrimeModulus
 from modent.polynomials import MultiPoly, interpolate
+from oracles import compose_by_power_tables
 
 PRIMES = (2, 3, 5, 7, 13)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -47,9 +50,42 @@ def families(draw, count, min_nvars=0, max_nvars=3):
 
 
 @st.composite
+def images(draw, p, nvars, count):
+    """`count` substitution images in nvars variables, all of one drawn shape.
+
+    Besides random polynomials these are the shapes the identity checks
+    substitute: monomials (the chain rule's x_i y_ij), sums over disjoint
+    variable sets (grouping's block sums), polynomials over disjoint
+    variable sets (the chain rule's x_i times a block sum), and constants,
+    zero among them.
+    """
+    q = p.p
+    shape = draw(st.sampled_from(("random", "monomials", "block sums", "disjoint supports", "constants")))
+    owner = draw(st.lists(st.integers(0, count), min_size=nvars, max_size=nvars))  # count: no image
+    if shape == "monomials":
+        exps = st.tuples(*[st.integers(0, 3)] * nvars)
+        terms = [{draw(exps): draw(st.integers(1, q - 1))} for _ in range(count)]
+    elif shape == "block sums":
+        units = [tuple(int(j == k) for k in range(nvars)) for j in range(nvars)]
+        terms = [{units[j]: 1 for j in range(nvars) if owner[j] == i} for i in range(count)]
+    elif shape == "disjoint supports":
+        def on_own_variables(exps, i):
+            return tuple(e * (owner[j] == i) for j, e in enumerate(exps))
+
+        terms = [{on_own_variables(e, i): c for e, c in draw(term_dicts(q, nvars)).items()} for i in range(count)]
+    elif shape == "constants":
+        terms = [{(0,) * nvars: draw(st.integers(0, q - 1))} for _ in range(count)]
+    else:
+        terms = [draw(term_dicts(q, nvars)) for _ in range(count)]
+    return [MultiPoly(p, nvars, t) for t in terms]
+
+
+@st.composite
 def substitutions(draw, min_nvars=0):
     """(f, args, point): f in k >= 1 variables, k arguments in nvars variables, a point."""
-    p, nvars, args = draw(families(draw(st.integers(1, 3)), min_nvars=min_nvars))
+    p = PrimeModulus(draw(st.sampled_from(PRIMES)))
+    nvars = draw(st.integers(min_nvars, 3))
+    args = draw(images(p, nvars, draw(st.integers(1, 3))))
     f = MultiPoly(p, len(args), draw(term_dicts(p.p, len(args), max_exp=4)))
     point = draw(st.tuples(*[st.integers(0, p.p - 1)] * nvars))
     return f, args, point
@@ -84,6 +120,41 @@ def test_compose_then_evaluate_is_evaluate_of_the_arguments(case):
     assert_canonical(composed)
     assert composed.nvars == len(point)
     assert composed.evaluate(point) == f.evaluate(tuple(a.evaluate(point) for a in args))
+
+
+@PROPERTY_SETTINGS
+@given(substitutions())
+def test_compose_matches_the_power_table_oracle(case):
+    f, args, _ = case
+    assert f.compose(args).terms == compose_by_power_tables(f, args)
+
+
+# exponents packed into one-byte fields reach 255; 256 needs two bytes, and
+# 2^64 + 1 nine, past any machine word.  Each case reaches the edge in the
+# result, some only by adding exponents of edge - 1 and 1, which carries
+# into the next field unless the width bounds the sum.
+@pytest.mark.parametrize("edge", (255, 256, 2**64 + 1))
+def test_packed_exponents_at_the_field_width_edges(edge):
+    p = PrimeModulus(5)
+    x, y, z = (MultiPoly.variable(p, 3, i) for i in range(3))
+    s, u = (MultiPoly.variable(p, 2, i) for i in range(2))
+    cases = [
+        (s * u, [x**edge, y**edge * z]),
+        (s * u, [x ** (edge - 1) * z, x * y]),
+        (s**2 + 3 * u, [y ** (edge // 2) * z, x + 4]),
+        (u * s + s, [MultiPoly.constant(p, 3, 4), z * x ** (edge - 1) + y]),
+    ]
+    if edge < 1000:  # the oracle builds every power of an argument up to the edge
+        t = MultiPoly.variable(p, 1, 0)
+        cases += [(t**edge, [x]), (t**edge, [y + 2]), (t ** (edge - 1) * 2, [x + y + z])]
+    for f, args in cases:
+        composed = f.compose(args)
+        assert_canonical(composed)
+        assert composed.terms == compose_by_power_tables(f, args), (f, args)
+    assert (x**edge).terms == {(edge, 0, 0): 1}
+    assert (x ** (edge - 1) * x * y**edge).terms == {(edge, edge, 0): 1}
+    square = {(edge, 0, 1): 1, (edge - 1, 1, 1): 2, (edge - 2, 2, 1): 1}
+    assert (z * (x + y) ** 2 * x ** (edge - 2)).terms == square
 
 
 @PROPERTY_SETTINGS

@@ -316,6 +316,20 @@ def test_check_grouping_examples():
     assert check_grouping(3, (1, 2, 1), P2).passed
 
 
+@pytest.mark.parametrize("pp,terms", [(3, 7), (5, 18)])
+def test_grouping_and_chain_rule_report_the_term_count_of_each_side(pp, terms):
+    # h in three variables has C(p + 2, 2) - 3 terms, and substituting the
+    # monomials x_i y_ij into it merges none of them
+    p = PrimeModulus(pp)
+    assert terms == len(entropy_poly_terms(3, pp)) == comb(pp + 2, 2) - 3
+    for check in (check_grouping, check_poly_chain_rule):
+        report = check(2, (2, 1), p)
+        assert report.passed
+        assert report.data == {"p": pp, "n": 2, "ks": (2, 1), "lhs_terms": terms, "rhs_terms": terms}
+    # a failing identity still reports the size of the difference
+    assert check_fundamental(MultiPoly(P5, 1, {(2,): 1}), P5).failures == ("difference has 4 nonzero terms",)
+
+
 def test_check_grouping_guards():
     with pytest.raises(RangeGuard):
         check_grouping(2, (4, 3), P3)
